@@ -1,9 +1,15 @@
-// Ablation: thread-pool parallelization of the detector sweeps and the
-// EigenTrust mat-vec (the library's two CPU-heavy inner loops).
+// Ablation: thread-pool parallelization of the detector sweeps. The
+// parallel rows make the core detectors' two calls — the pair sweep and
+// the accomplice exchange — over a snapshot whose detect::Executor lends
+// them a thread pool; reports and cost equal the serial rows'.
 #include <benchmark/benchmark.h>
 
 #include "core/basic_detector.h"
 #include "core/optimized_detector.h"
+#include "detect/accomplice_exchange.h"
+#include "detect/executor.h"
+#include "detect/pair_sweep.h"
+#include "detect/snapshot.h"
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "util/rng.h"
@@ -47,6 +53,17 @@ rating::RatingMatrix make_world(std::size_t n) {
   return rating::RatingMatrix::build(store, reps, 0.05);
 }
 
+/// What core::{Basic,Optimized}CollusionDetector::detect does, over a
+/// snapshot that lends its executor to both passes.
+core::DetectionReport detect_parallel(const detect::EpochSnapshot& snapshot,
+                                      bool basic) {
+  core::DetectionReport report =
+      basic ? detect::sweep_basic(snapshot, config())
+            : detect::sweep_optimized(snapshot, config());
+  detect::propagate_accomplices(snapshot, config(), report);
+  return report;
+}
+
 void BM_BasicSerial(benchmark::State& state) {
   const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
   core::BasicCollusionDetector detector(config());
@@ -57,8 +74,11 @@ BENCHMARK(BM_BasicSerial)->Arg(200)->Arg(600);
 void BM_BasicParallel(benchmark::State& state) {
   const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
   util::ThreadPool pool;
-  core::BasicCollusionDetector detector(config(), &pool);
-  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(matrix));
+  detect::ThreadPoolExecutor executor(pool);
+  auto snapshot = detect::EpochSnapshot::of(matrix);
+  snapshot.executor = &executor;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(detect_parallel(snapshot, /*basic=*/true));
 }
 BENCHMARK(BM_BasicParallel)->Arg(200)->Arg(600);
 
@@ -72,8 +92,11 @@ BENCHMARK(BM_OptimizedSerial)->Arg(600)->Arg(2000);
 void BM_OptimizedParallel(benchmark::State& state) {
   const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
   util::ThreadPool pool;
-  core::OptimizedCollusionDetector detector(config(), &pool);
-  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(matrix));
+  detect::ThreadPoolExecutor executor(pool);
+  auto snapshot = detect::EpochSnapshot::of(matrix);
+  snapshot.executor = &executor;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(detect_parallel(snapshot, /*basic=*/false));
 }
 BENCHMARK(BM_OptimizedParallel)->Arg(600)->Arg(2000);
 

@@ -6,32 +6,29 @@
 // positively (C3, a >= T_a), the manager scans the whole row of n_i
 // *excluding* n_j to compute the complement fraction b; if b < T_b (C2) it
 // repeats the entire check from n_j's side, and flags the pair when both
-// directions hold. Checked pairs are marked (a_ij and a_ji) so they are not
-// re-examined within the pass.
+// directions hold. A checked pair is settled from both sides (the paper
+// marks a_ij and a_ji), so it is not re-examined within the pass.
 //
 // The complement row scan is deliberately performed element-by-element even
 // though this implementation's matrix happens to carry row totals: the
 // paper's manager stores only <ID_i, R_i, N_(i,j), N+_(i,j)> per cell, and
 // that scan is precisely the O(n) inner cost that makes the method
-// O(m n^2) (Proposition 4.1) and that the Optimized method removes. A debug
-// assertion cross-checks the scanned sums against the row totals.
+// O(m n^2) (Proposition 4.1) and that the Optimized method removes.
 //
-// An optional thread pool parallelizes the outer row sweep; flagged pairs
-// are identical to the serial pass (the report is canonicalized), but the
-// charged cost can differ slightly because cross-row pair marks are not
-// shared between workers.
+// This class is the single-matrix entry point of the method. The sweep
+// itself is detect::sweep_basic (detect/pair_sweep.h), followed by
+// detect::propagate_accomplices; both are defined in p2prep_detect, and
+// so is detect() below (detect/core_detectors.cpp).
 #pragma once
 
 #include "core/detector.h"
-#include "util/thread_pool.h"
 
 namespace p2prep::core {
 
 class BasicCollusionDetector final : public CollusionDetector {
  public:
-  explicit BasicCollusionDetector(DetectorConfig config,
-                                  util::ThreadPool* pool = nullptr)
-      : CollusionDetector(config), pool_(pool) {}
+  explicit BasicCollusionDetector(DetectorConfig config)
+      : CollusionDetector(config) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "Unoptimized";
@@ -39,35 +36,6 @@ class BasicCollusionDetector final : public CollusionDetector {
 
   [[nodiscard]] DetectionReport detect(
       const rating::RatingMatrix& matrix) const override;
-
- private:
-  struct RowScanResult {
-    std::uint64_t complement_total = 0;
-    std::uint64_t complement_positive = 0;
-  };
-
-  /// Scans row `ratee` excluding column `excluded`, charging one element
-  /// scan per cell visited. In joint-complement mode every frequent rater
-  /// (cell total >= T_N) is excluded as well (DetectorConfig docs).
-  RowScanResult scan_row_excluding(const rating::RatingMatrix& matrix,
-                                   rating::NodeId ratee,
-                                   rating::NodeId excluded,
-                                   util::CostCounter& cost) const;
-
-  /// One-directional deep check: does n_i's high reputation look like it is
-  /// mainly caused by n_j's frequent deviating ratings? Fills the
-  /// corresponding evidence fields on success.
-  bool directional_check(const rating::RatingMatrix& matrix,
-                         rating::NodeId i, rating::NodeId j,
-                         double& positive_fraction, double& complement_fraction,
-                         util::CostCounter& cost) const;
-
-  /// Detection pass over rows [row_begin, row_end).
-  void detect_rows(const rating::RatingMatrix& matrix, std::size_t row_begin,
-                   std::size_t row_end, std::vector<std::uint8_t>* marks,
-                   DetectionReport& out) const;
-
-  util::ThreadPool* pool_;
 };
 
 }  // namespace p2prep::core

@@ -29,18 +29,21 @@
 // P2P simulation model emits only +/-1 ratings, and the trace layer maps
 // marketplace scores to +/-1 before detection, so the bound is exact where
 // it is used.
+//
+// This class is the single-matrix entry point of the method. The sweep
+// itself is detect::sweep_optimized (detect/pair_sweep.h), followed by
+// detect::propagate_accomplices; both are defined in p2prep_detect, and
+// so is detect() below (detect/core_detectors.cpp).
 #pragma once
 
 #include "core/detector.h"
-#include "util/thread_pool.h"
 
 namespace p2prep::core {
 
 class OptimizedCollusionDetector final : public CollusionDetector {
  public:
-  explicit OptimizedCollusionDetector(DetectorConfig config,
-                                      util::ThreadPool* pool = nullptr)
-      : CollusionDetector(config), pool_(pool) {}
+  explicit OptimizedCollusionDetector(DetectorConfig config)
+      : CollusionDetector(config) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "Optimized";
@@ -48,17 +51,6 @@ class OptimizedCollusionDetector final : public CollusionDetector {
 
   [[nodiscard]] DetectionReport detect(
       const rating::RatingMatrix& matrix) const override;
-
- private:
-  /// One-directional Formula (2) check for ratee i against rater j.
-  bool directional_check(const rating::RatingMatrix& matrix,
-                         rating::NodeId i, rating::NodeId j,
-                         util::CostCounter& cost) const;
-
-  void detect_rows(const rating::RatingMatrix& matrix, std::size_t row_begin,
-                   std::size_t row_end, DetectionReport& out) const;
-
-  util::ThreadPool* pool_;
 };
 
 }  // namespace p2prep::core

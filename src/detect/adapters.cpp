@@ -4,6 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "core/basic_detector.h"
+#include "core/optimized_detector.h"
 #include "detect/accomplice_exchange.h"
 #include "detect/pair_sweep.h"
 
@@ -41,33 +43,15 @@ class ScanTimer {
 void BasicAdapter::on_epoch(const EpochSnapshot& snapshot,
                             core::DetectionReport& report) {
   const ScanTimer timer(stats_);
-  if (snapshot.matrices.size() == 1) {
-    // Single-matrix hosts keep the core detector verbatim — the
-    // differential suite proves this path byte-identical (cost included)
-    // to direct instantiation.
-    report = inner_.detect(single_matrix(snapshot, name()));
-    stats_.accomplice_rounds = 0;
-    return;
-  }
-  // Multi-matrix (sharded) snapshots go through the range-partitioned
-  // sweep + flagged-set exchange; reports match the single-matrix path
-  // byte-for-byte after format_epoch_report (which excludes cost).
   report = sweep_basic(snapshot, config_);
-  stats_.accomplice_rounds =
-      detect::propagate_accomplices(snapshot, config_, report);
+  stats_.accomplice_rounds = propagate_accomplices(snapshot, config_, report);
 }
 
 void OptimizedAdapter::on_epoch(const EpochSnapshot& snapshot,
                                 core::DetectionReport& report) {
   const ScanTimer timer(stats_);
-  if (snapshot.matrices.size() == 1) {
-    report = inner_.detect(single_matrix(snapshot, name()));
-    stats_.accomplice_rounds = 0;
-    return;
-  }
   report = sweep_optimized(snapshot, config_);
-  stats_.accomplice_rounds =
-      detect::propagate_accomplices(snapshot, config_, report);
+  stats_.accomplice_rounds = propagate_accomplices(snapshot, config_, report);
 }
 
 void GroupAdapter::on_epoch(const EpochSnapshot& snapshot,
@@ -108,3 +92,25 @@ void GroupAdapter::on_epoch(const EpochSnapshot& snapshot,
 }
 
 }  // namespace p2prep::detect
+
+// The core detectors' single-matrix entry points: the same sweep and
+// accomplice exchange as the adapters, over a one-matrix snapshot.
+namespace p2prep::core {
+
+DetectionReport BasicCollusionDetector::detect(
+    const rating::RatingMatrix& matrix) const {
+  const auto snapshot = detect::EpochSnapshot::of(matrix);
+  DetectionReport report = detect::sweep_basic(snapshot, config_);
+  detect::propagate_accomplices(snapshot, config_, report);
+  return report;
+}
+
+DetectionReport OptimizedCollusionDetector::detect(
+    const rating::RatingMatrix& matrix) const {
+  const auto snapshot = detect::EpochSnapshot::of(matrix);
+  DetectionReport report = detect::sweep_optimized(snapshot, config_);
+  detect::propagate_accomplices(snapshot, config_, report);
+  return report;
+}
+
+}  // namespace p2prep::core

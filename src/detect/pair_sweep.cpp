@@ -1,6 +1,8 @@
 #include "detect/pair_sweep.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 #include <vector>
 
 #include "core/formula.h"
@@ -11,9 +13,9 @@ namespace p2prep::detect {
 namespace {
 
 /// Splits [0, n) into contiguous ranges sized for the executor's
-/// concurrency (over-decomposed 4x for load balance — the Basic sweep's
-/// per-row work shrinks with the row index) and runs `range_fn(begin,
-/// end, sub_report)` per range, merging sub-reports in range order.
+/// concurrency (over-decomposed 4x for load balance) and runs
+/// `range_fn(begin, end, sub_report)` per range, merging sub-reports in
+/// range order.
 core::DetectionReport sweep_ranges(
     const EpochSnapshot& snapshot, std::size_t n,
     const std::function<void(rating::NodeId, rating::NodeId,
@@ -25,7 +27,7 @@ core::DetectionReport sweep_ranges(
         std::max<std::size_t>(1, n));
   }
   std::vector<core::DetectionReport> parts(tasks);
-  const std::size_t chunk = tasks == 0 ? n : (n + tasks - 1) / tasks;
+  const std::size_t chunk = (n + tasks - 1) / tasks;
   run_tasks(snapshot.executor, tasks, [&](std::size_t t) {
     const auto begin = static_cast<rating::NodeId>(t * chunk);
     const auto end =
@@ -43,29 +45,59 @@ core::DetectionReport sweep_ranges(
   return report;
 }
 
+/// The Basic method's complement sums N_(i,-j) and N+_(i,-j), computed the
+/// paper's way: an element-by-element scan of row i charging one scan per
+/// stored cell visited — n on the dense backend (the O(n) inner step that
+/// makes Proposition 4.1's O(m n^2) bound tight), row nnz on the sparse
+/// one. In joint-complement mode every frequent rater (cell total >= T_N)
+/// is left out as well (DetectorConfig docs). The scan tests each cell
+/// against T_N itself, so it needs no frequent aggregate in the matrix.
+rating::PairStats scan_complement(const rating::RatingMatrix& mi,
+                                  rating::NodeId i, rating::NodeId j,
+                                  const core::DetectorConfig& cfg,
+                                  util::CostCounter& cost) {
+  rating::PairStats complement;
+  mi.for_each_cell(i, [&](rating::NodeId k, const rating::PairStats& stats) {
+    if (k == i || k == j) return;
+    cost.add_scan();
+    if (cfg.joint_complement && stats.total >= cfg.frequency_min) return;
+    complement += stats;
+  });
+#ifndef NDEBUG
+  // The scan and the row totals the matrix carries must agree.
+  if (!cfg.joint_complement) {
+    const rating::PairStats expected = mi.totals(i) - mi.cell(i, j);
+    assert(complement.total == expected.total);
+    assert(complement.positive == expected.positive);
+  } else if (mi.frequency_threshold() == cfg.frequency_min) {
+    rating::PairStats expected = mi.totals(i) - mi.frequent_totals(i);
+    if (mi.cell(i, j).total < cfg.frequency_min) expected -= mi.cell(i, j);
+    assert(complement.total == expected.total);
+    assert(complement.positive == expected.positive);
+  }
+#endif
+  return complement;
+}
+
 }  // namespace
 
 core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
                                   const core::DetectorConfig& cfg) {
   const std::size_t n = snapshot.num_nodes();
 
-  // One-directional Basic predicate: the complement is derived from the
-  // incremental row aggregates, but the paper's full-row scan cost is
-  // charged (matching core::BasicCollusionDetector and the pre-registry
-  // global sweep byte-for-byte).
+  // One-directional deep check: does n_i's high reputation look like it
+  // is mainly caused by n_j's frequent deviating ratings? The complement
+  // scan runs before the cheap C4/C3 gates, matching the per-pair element
+  // count Proposition 4.1 charges; the verdict is unaffected (the
+  // predicate is a pure conjunction).
   const auto basic_dir = [&](core::DetectionReport& report,
                              const rating::RatingMatrix& mi, rating::NodeId i,
                              rating::NodeId j, double& positive_fraction,
                              double& complement_fraction) {
     const rating::PairStats& cell = mi.cell(i, j);
-    report.cost.add_scan(mi.size());
-    rating::PairStats complement;
-    if (cfg.joint_complement) {
-      complement = mi.totals(i) - mi.frequent_totals(i);
-      if (cell.total < cfg.frequency_min) complement -= cell;
-    } else {
-      complement = mi.totals(i) - cell;
-    }
+    report.cost.add_scan();  // read a_ij
+    const rating::PairStats complement =
+        scan_complement(mi, i, j, cfg, report.cost);
     report.cost.add_check();
     if (cell.total < cfg.frequency_min) return false;  // C4
     positive_fraction = cell.positive_fraction();
@@ -84,25 +116,21 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
       snapshot, n,
       [&](rating::NodeId begin, rating::NodeId end,
           core::DetectionReport& report) {
-        // Marks-equivalent enumeration: each unordered pair is examined
-        // once, from its first high-reputed endpoint in ascending order.
-        // Partitioning by the first endpoint keeps each pair in exactly
-        // one range.
-        for (rating::NodeId a = begin; a < end; ++a) {
-          for (rating::NodeId b = a + 1; b < n; ++b) {
-            rating::NodeId i, j;
-            report.cost.add_check();
-            if (snapshot.matrix_of(a).high_reputed(a)) {
-              i = a;
-              j = b;
-            } else if (snapshot.matrix_of(b).high_reputed(b)) {
-              i = b;
-              j = a;
-            } else {
-              continue;  // C1 fails on both sides
-            }
-            const rating::RatingMatrix& mi = snapshot.matrix_of(i);
+        for (rating::NodeId i = begin; i < end; ++i) {
+          const rating::RatingMatrix& mi = snapshot.matrix_of(i);
+          report.cost.add_check();
+          if (!mi.high_reputed(i)) continue;  // C1
+          for (rating::NodeId j = 0; j < n; ++j) {
+            // "After an a_ij is checked, the manager marks a_ij and a_ji":
+            // a pair of two high-reputed nodes was settled from the lower
+            // one's row, so it is skipped here at no charge.
             const rating::RatingMatrix& mj = snapshot.matrix_of(j);
+            if (j == i || (j < i && mj.high_reputed(j))) continue;
+            // The partner must itself be high-reputed (C1) before any deep
+            // work — except in one-sided mode, where a Sybil booster never
+            // earns reputation and must not be exempted by its own
+            // obscurity. Reading R_j is an element access like the
+            // Optimized method's N_(i,j) read.
             report.cost.add_scan();
             report.cost.add_check();
             if (cfg.require_mutual && !mj.high_reputed(j)) continue;
@@ -117,6 +145,8 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
             if (!basic_dir(report, mi, i, j, ev.positive_fraction_first,
                            ev.complement_fraction_first))
               continue;
+            // n_i's high reputation is mainly caused by n_j's deviating
+            // ratings; repeat the process from n_j's line.
             if (cfg.require_mutual &&
                 !basic_dir(report, mj, j, i, ev.positive_fraction_second,
                            ev.complement_fraction_second))
@@ -135,31 +165,47 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
                                  const rating::RatingMatrix& mi,
                                  rating::NodeId i, rating::NodeId j) {
     const rating::PairStats& cell = mi.cell(i, j);
-    report.cost.add_scan();
+    report.cost.add_scan();  // read a_ij <ID_i, R_i, N_(i,j), N+_(i,j)>
     report.cost.add_check();
     if (cell.total < cfg.frequency_min) return false;  // C4
     if (!cfg.joint_complement) {
+      // Paper-literal Formula (2): only R_i, N_i and N_(i,j) are read.
       report.cost.add_check();
       return core::formula2_satisfied(
           static_cast<double>(mi.window_reputation(i)),
           cfg.positive_fraction_min, cfg.complement_fraction_max,
           mi.totals(i).total, cell.total, cfg.inclusive_bounds);
     }
+    // Joint complement: C3 from the cell, C2 from the row's frequent-rater
+    // aggregate — one O(1) read when the matrix maintains it for T_N.
     report.cost.add_check();
     if (!core::positive_fraction_ok(cell, cfg)) return false;  // C3
-    report.cost.add_scan();
-    const rating::PairStats complement = mi.totals(i) - mi.frequent_totals(i);
+    rating::PairStats frequent;
+    if (mi.frequency_threshold() == cfg.frequency_min) {
+      report.cost.add_scan();
+      frequent = mi.frequent_totals(i);
+    } else {
+      // A matrix built without (or with another) frequency threshold:
+      // recompute the aggregate from the row and charge its true cost,
+      // the row's storage size. A deployed manager never takes this path;
+      // it keeps standalone matrices usable.
+      mi.for_each_cell(
+          i, [&](rating::NodeId k, const rating::PairStats& stats) {
+            if (k == i) return;
+            report.cost.add_scan();
+            if (stats.total >= cfg.frequency_min) frequent += stats;
+          });
+    }
     report.cost.add_check();
-    return core::complement_ok(complement, cfg);  // C2
+    return core::complement_ok(mi.totals(i) - frequent, cfg);  // C2
   };
 
   return sweep_ranges(
       snapshot, n,
       [&](rating::NodeId begin, rating::NodeId end,
           core::DetectionReport& report) {
-        // Mirrors OptimizedCollusionDetector: all ordered (i, j); a
-        // mutual pair surfaces from both sides and canonicalize() dedups.
-        // Partitioning by i keeps each ordered pair in exactly one range.
+        // All ordered (i, j); a mutual pair surfaces from both sides and
+        // canonicalize() dedups.
         for (rating::NodeId i = begin; i < end; ++i) {
           const rating::RatingMatrix& mi = snapshot.matrix_of(i);
           report.cost.add_check();
@@ -168,6 +214,8 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
             if (j == i) continue;
             if (!optimized_dir(report, mi, i, j)) continue;
             const rating::RatingMatrix& mj = snapshot.matrix_of(j);
+            // Symmetric side: n_j must be high-reputed and satisfy the
+            // same check against n_i (skipped in one-sided mode).
             if (cfg.require_mutual) {
               report.cost.add_check();
               if (!mj.high_reputed(j)) continue;
@@ -180,6 +228,8 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
             ev.ratings_to_second = mj.cell(j, i).total;
             ev.positive_fraction_first = mi.cell(i, j).positive_fraction();
             ev.positive_fraction_second = mj.cell(j, i).positive_fraction();
+            // Evidence-only complement fractions from the row totals (not
+            // part of the method's cost).
             const rating::PairStats comp_i = mi.totals(i) - mi.cell(i, j);
             const rating::PairStats comp_j = mj.totals(j) - mj.cell(j, i);
             ev.complement_fraction_first = comp_i.positive_fraction();

@@ -1,23 +1,26 @@
-// Range-partitioned cross-shard pair sweeps (DESIGN.md §15).
+// The Basic / Optimized pairwise sweeps of the paper (DESIGN.md §15) —
+// the one implementation of both methods. core::{Basic,Optimized}
+// CollusionDetector, the registry adapters and the service's global epoch
+// all call these, followed by detect::propagate_accomplices.
 //
-// These are the Basic / Optimized pairwise scans of the paper, lifted
-// from the service's global-epoch body into the detect layer and
-// generalized over an EpochSnapshot: every quantity about node i (row,
+// The sweeps run over an EpochSnapshot: every quantity about node i (row,
 // totals, frequent aggregate, window reputation) is read from
 // snapshot.matrix_of(i) — the owner shard's matrix — so the same code
-// serves one matrix or S shard matrices, and a single-owner snapshot
-// reproduces the single-matrix sweep exactly.
+// serves one matrix or S shard matrices. Neither sweep depends on the
+// matrix carrying the T_N frequent aggregate: Basic tests each cell
+// against T_N during its complement scan, and Optimized recomputes the
+// aggregate from the row (charging the scans) when the matrix was built
+// for another threshold.
 //
 // Parallelism: the outer node index [0, n) is split into contiguous
 // ranges, one task per range, run through snapshot.executor (serial when
 // null). Each task fills a task-local sub-report; the merge concatenates
-// pairs in range order and sums the cost counters, so the merged report
-// is identical to a serial pass for ANY task count — every (ordered or
-// unordered) pair is examined by exactly one range, charging the same
-// scans/checks wherever it runs, and canonicalize() fixes the final
-// ordering regardless. This is the determinism argument the
-// parallel-vs-serial differential suite (tests/differential/
-// parallel_epoch_test.cpp) enforces byte-for-byte.
+// pairs in range order and sums the cost counters. Every ordered pair
+// (i, j) is examined, or skipped, from row i alone, so the merged report
+// and its cost are identical to a serial pass for ANY task count, and
+// canonicalize() fixes the final ordering. The parallel-vs-serial
+// differential suite (tests/differential/parallel_epoch_test.cpp)
+// enforces this byte-for-byte.
 #pragma once
 
 #include "core/config.h"
@@ -26,16 +29,18 @@
 
 namespace p2prep::detect {
 
-/// Basic-method sweep: each unordered pair examined once, from its first
-/// high-reputed endpoint in ascending order, with the paper's full-row
-/// complement scan charged per direction. Returns the canonicalized
-/// report (pairs only — rings never come from the pairwise methods).
+/// Basic-method sweep: for each high-reputed row i (one C1 check per
+/// row), every partner j except a lower high-reputed one — that pair was
+/// settled from j's row — with the complement scanned element by element
+/// per direction. Returns the canonicalized report (pairs only — rings
+/// never come from the pairwise methods).
 [[nodiscard]] core::DetectionReport sweep_basic(
     const EpochSnapshot& snapshot, const core::DetectorConfig& config);
 
-/// Optimized-method sweep: all ordered (i, j) with the incremental-bound
-/// predicates; a mutual pair surfaces from both sides and canonicalize()
-/// dedups. Returns the canonicalized report.
+/// Optimized-method sweep: all ordered (i, j) from high-reputed rows with
+/// the O(1) Formula (2) / joint-complement predicates; a mutual pair
+/// surfaces from both sides and canonicalize() dedups. Returns the
+/// canonicalized report.
 [[nodiscard]] core::DetectionReport sweep_optimized(
     const EpochSnapshot& snapshot, const core::DetectorConfig& config);
 

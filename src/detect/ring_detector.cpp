@@ -269,8 +269,7 @@ void RingDetector::on_epoch(const EpochSnapshot& snapshot,
 
   // Ring members seed accomplice propagation exactly like flagged pairs.
   // The flagged-set exchange resolves each pair direction from its owner
-  // matrix, so the fixpoint spans any shard count (and reduces to the
-  // single-matrix walk on one matrix).
+  // matrix, so the fixpoint spans any shard count.
   stats_.accomplice_rounds =
       detect::propagate_accomplices(snapshot, config_, report);
   report.canonicalize();

@@ -1,10 +1,10 @@
 // Minimal work-stealing-free thread pool plus a parallel_for helper.
 //
-// The pool exists for the two CPU-heavy inner loops in the library: the
-// EigenTrust power iteration (dense mat-vec per iteration) and the
-// Unoptimized detector's row sweeps. Both decompose into independent row
-// ranges, so a simple chunked parallel_for with a completion latch is all
-// that is needed — no futures, no task graph.
+// The pool serves the CPU-heavy inner loops in the library: the
+// EigenTrust power iteration (dense mat-vec per iteration) and, through a
+// detect::Executor, the detectors' row-range sweeps. Both decompose into
+// independent row ranges, so a simple chunked parallel_for with a
+// completion latch is all that is needed — no futures, no task graph.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,12 @@
-// Direct unit tests of the accomplice-propagation pass (core/accomplice.h).
-#include "core/accomplice.h"
-
+// Direct unit tests of the accomplice-propagation pass
+// (detect/accomplice_exchange.h) over single-matrix snapshots.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "detect/accomplice_exchange.h"
+#include "detect/snapshot.h"
 #include "tests/core/scenario.h"
 
 namespace p2prep::core {
@@ -20,6 +24,11 @@ DetectorConfig config() {
   return c;
 }
 
+void propagate(const rating::RatingMatrix& matrix, const DetectorConfig& c,
+               DetectionReport& report) {
+  detect::propagate_accomplices(detect::EpochSnapshot::of(matrix), c, report);
+}
+
 PairEvidence seed_pair(rating::NodeId a, rating::NodeId b) {
   PairEvidence e;
   e.first = a;
@@ -31,7 +40,7 @@ TEST(AccompliceTest, NoSeedsIsNoOp) {
   Scenario s(10);
   s.collude(0, 1, 50);
   DetectionReport report;
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   EXPECT_TRUE(report.pairs.empty());
   EXPECT_EQ(report.cost.total(), 0u);
 }
@@ -43,7 +52,7 @@ TEST(AccompliceTest, DisabledFlagIsNoOp) {
   report.pairs.push_back(seed_pair(0, 1));
   DetectorConfig c = config();
   c.flag_accomplices = false;
-  propagate_accomplices(s.build(), c, report);
+  propagate(s.build(), c, report);
   EXPECT_EQ(report.pairs.size(), 1u);
 }
 
@@ -52,7 +61,7 @@ TEST(AccompliceTest, DirectAccompliceFound) {
   s.collude(0, 1, 50).collude(1, 2, 50);
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   EXPECT_TRUE(report.contains(1, 2));
   EXPECT_EQ(report.colluders(), (std::vector<rating::NodeId>{0, 1, 2}));
   EXPECT_GT(report.cost.total(), 0u);
@@ -65,7 +74,7 @@ TEST(AccompliceTest, PropagatesTransitivelyToFixpoint) {
     s.collude(k, static_cast<rating::NodeId>(k + 1), 40);
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   for (rating::NodeId k = 0; k < 4; ++k)
     EXPECT_TRUE(report.contains(k, static_cast<rating::NodeId>(k + 1)))
         << "link " << k;
@@ -79,7 +88,7 @@ TEST(AccompliceTest, OneDirectionalBoosterNotAnAccomplice) {
   s.rate(2, 0, 50, rating::Score::kPositive);
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   EXPECT_FALSE(report.contains(0, 2));
 }
 
@@ -89,7 +98,7 @@ TEST(AccompliceTest, InfrequentMutualRatersNotAccomplices) {
   s.collude(0, 2, 10);  // mutual but below T_N
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   EXPECT_FALSE(report.contains(0, 2));
 }
 
@@ -100,7 +109,7 @@ TEST(AccompliceTest, MostlyNegativeMutualRatersNotAccomplices) {
   s.rate(2, 0, 40, rating::Score::kNegative);
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   EXPECT_FALSE(report.contains(0, 2));
 }
 
@@ -110,7 +119,7 @@ TEST(AccompliceTest, ReportStaysCanonicalAndDeduplicated) {
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
   report.pairs.push_back(seed_pair(2, 1));  // unordered duplicate seed form
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   ASSERT_EQ(report.pairs.size(), 3u);
   for (std::size_t i = 0; i < report.pairs.size(); ++i) {
     EXPECT_LT(report.pairs[i].first, report.pairs[i].second);
@@ -122,13 +131,39 @@ TEST(AccompliceTest, ReportStaysCanonicalAndDeduplicated) {
   }
 }
 
+TEST(AccompliceTest, BoostingWebFlagsTheClosure) {
+  // Two seeded pairs (0,1) and (2,3) whose members also boost each other
+  // across the pairs, so flagged nodes of one round find each other; the
+  // web reaches 4 through 3 and 5 through 4. Node 6 boosts 0 one-way and
+  // 7 trades infrequent positives with 2: neither is in the closure.
+  Scenario s(12);
+  s.collude(0, 1, 40).collude(2, 3, 40);
+  s.collude(0, 2, 40).collude(1, 3, 40).collude(0, 3, 40);
+  s.collude(3, 4, 40).collude(4, 5, 40);
+  s.rate(6, 0, 40, rating::Score::kPositive);
+  s.collude(2, 7, 5);
+  DetectionReport report;
+  report.pairs.push_back(seed_pair(0, 1));
+  report.pairs.push_back(seed_pair(2, 3));
+  propagate(s.build(), config(), report);
+  EXPECT_EQ(report.colluders(),
+            (std::vector<rating::NodeId>{0, 1, 2, 3, 4, 5}));
+  for (const auto& [a, b] : {std::pair<rating::NodeId, rating::NodeId>{0, 2},
+                             {1, 3},
+                             {0, 3},
+                             {3, 4},
+                             {4, 5}})
+    EXPECT_TRUE(report.contains(a, b)) << a << "-" << b;
+  EXPECT_EQ(report.pairs.size(), 7u);
+}
+
 TEST(AccompliceTest, EvidenceFieldsFilled) {
   Scenario s(10);
   s.collude(0, 1, 50).collude(1, 2, 30);
   s.crowd(4, 10, 2, 0.9);
   DetectionReport report;
   report.pairs.push_back(seed_pair(0, 1));
-  propagate_accomplices(s.build(), config(), report);
+  propagate(s.build(), config(), report);
   const PairEvidence* found = nullptr;
   for (const auto& e : report.pairs) {
     if (pair_key(e.first, e.second) == pair_key(1, 2)) found = &e;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/accomplice_exchange.h"
+#include "detect/executor.h"
+#include "detect/pair_sweep.h"
+#include "detect/snapshot.h"
 #include "tests/core/scenario.h"
 #include "util/thread_pool.h"
 
@@ -101,7 +105,11 @@ TEST(OptimizedDetectorTest, CostMuchLowerThanQuadraticScan) {
 }
 
 TEST(OptimizedDetectorTest, ParallelMatchesSerial) {
+  // The core detector is the serial pass; the same sweep and accomplice
+  // exchange over an executor-backed snapshot must reproduce its report
+  // and its cost exactly, whatever the task split.
   util::ThreadPool pool(4);
+  detect::ThreadPoolExecutor executor(pool);
   Scenario s(150);
   s.collude(0, 1, 30).collude(10, 11, 40).collude(70, 140, 25);
   for (rating::NodeId id : {0u, 1u, 10u, 11u, 70u, 140u}) {
@@ -109,15 +117,17 @@ TEST(OptimizedDetectorTest, ParallelMatchesSerial) {
     s.set_rep(id, 0.2);
   }
   const auto matrix = s.build();
-  OptimizedCollusionDetector serial(config());
-  OptimizedCollusionDetector parallel(config(), &pool);
-  const auto rs = serial.detect(matrix);
-  const auto rp = parallel.detect(matrix);
+  const DetectionReport rs =
+      OptimizedCollusionDetector(config()).detect(matrix);
+  auto snapshot = detect::EpochSnapshot::of(matrix);
+  snapshot.executor = &executor;
+  DetectionReport rp = detect::sweep_optimized(snapshot, config());
+  detect::propagate_accomplices(snapshot, config(), rp);
+  ASSERT_EQ(rs.pairs.size(), 3u);
   ASSERT_EQ(rs.pairs.size(), rp.pairs.size());
-  for (std::size_t i = 0; i < rs.pairs.size(); ++i) {
-    EXPECT_EQ(rs.pairs[i].first, rp.pairs[i].first);
-    EXPECT_EQ(rs.pairs[i].second, rp.pairs[i].second);
-  }
+  for (std::size_t i = 0; i < rs.pairs.size(); ++i)
+    EXPECT_EQ(rs.pairs[i].to_string(), rp.pairs[i].to_string());
+  EXPECT_EQ(rs.cost, rp.cost);
 }
 
 TEST(OptimizedDetectorTest, EvidenceCarriesDerivedComplements) {

@@ -1,9 +1,12 @@
-// Differential proof that the registry refactor changed nothing: for 100
-// randomized collusion traces, a registry-constructed detector must emit a
-// report byte-identical (format_epoch_report) to the core detector it
-// wraps, instantiated directly — same pairs, same evidence text, same
-// colluder sets; the group adapter's rings must carry exactly the core
-// group detector's member sets.
+// Differential proof that the registry adds nothing: for 100 randomized
+// collusion traces, a registry-constructed detector must emit a report
+// byte-identical (format_epoch_report) to the core entry point instantiated
+// directly — same pairs, same evidence text, same colluder sets, same cost;
+// the group adapter's rings must carry exactly the core group detector's
+// member sets. The basic/optimized core entry points and adapters share
+// one sweep, so these cases guard the wiring (snapshot construction,
+// config, accomplice pass); tests/detect/sweep_digest_test.cpp pins the
+// sweep output itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
