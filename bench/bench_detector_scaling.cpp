@@ -6,10 +6,16 @@
 // The BM_ParallelEpochService family adds the service-level dimension:
 // full global-epoch wall time (freeze, multithreaded sweep, accomplice
 // exchange, suppression) across shards x scan threads on a 10k-node / 1%
-// density trace. `--smoke` runs only that family at reduced size — the
-// ctest entry BenchDetectorScaling.Smoke keeps the wiring from rotting.
+// density trace with planted colluding pairs, and the pairs each epoch
+// flags (`pairs_flagged`). `--smoke` runs only that family at reduced
+// size — the ctest entry BenchDetectorScaling.Smoke — and fails when an
+// epoch flags no pair, so the bench cannot time a sweep that finds
+// nothing.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <string_view>
 #include <vector>
 
@@ -28,6 +34,8 @@ namespace {
 using namespace p2prep;
 
 bool g_smoke = false;
+/// Fewest pairs any BM_ParallelEpochService run flagged in one epoch.
+std::uint64_t g_min_pairs_flagged = ~std::uint64_t{0};
 
 core::DetectorConfig config() {
   core::DetectorConfig c;
@@ -265,8 +273,17 @@ BENCHMARK(BM_RingEpoch10k)
 // selecting the serial coordinator (parallel_epoch = false) as the
 // baseline. The trace is 10k nodes at ~1% cell density with planted
 // colluding pairs (1 per 40 nodes); overlap is off so the measurement is
-// the pure frozen-state scan, not ingest admission. The ISSUE gate reads
-// the (shards=4, threads=0) vs (shards=4, threads=hw) ratio.
+// the pure frozen-state scan, not ingest admission, and suppression is off
+// so every timed epoch sees the same state and flags the same pairs. The
+// scaling figure is the (shards=4, threads=0) vs (shards=4, threads=hw)
+// ratio.
+//
+// Each ratee draws ~n/100 organic ratings, and a colluder's are 90%
+// negative: that is what lets C2 (complement fraction < T_b) fire. The
+// mutual boost must therefore outweigh them, or the colluder's summation
+// reputation goes negative and C1 (R > T_R) rejects the pair before any
+// other check. Twice the organic share plus 40 ratings per direction
+// keeps R well above T_R at both sizes.
 void BM_ParallelEpochService(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
@@ -284,14 +301,16 @@ void BM_ParallelEpochService(benchmark::State& state) {
   cfg.parallel_epoch = threads != 0;
   cfg.epoch_overlap = false;
   cfg.epoch_scan_threads = threads == 0 ? 1 : threads;
+  cfg.suppression = managers::CentralizedManager::SuppressionMode::kNone;
   service::ReputationService svc(cfg);
 
   util::Rng rng(n);
   const std::size_t pairs = std::max<std::size_t>(1, n / 40);
+  const int boost = static_cast<int>(2 * n / 100 + 40);
   for (std::size_t p = 0; p < pairs; ++p) {
     const auto a = static_cast<rating::NodeId>(2 * p);
     const auto b = static_cast<rating::NodeId>(2 * p + 1);
-    for (int k = 0; k < 40; ++k) {
+    for (int k = 0; k < boost; ++k) {
       svc.ingest({a, b, rating::Score::kPositive, 0});
       svc.ingest({b, a, rating::Score::kPositive, 0});
     }
@@ -318,6 +337,11 @@ void BM_ParallelEpochService(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(m.epochs_completed));
   state.counters["scan_threads"] =
       benchmark::Counter(static_cast<double>(m.epoch_scan_threads));
+  state.counters["pairs_flagged"] =
+      benchmark::Counter(static_cast<double>(m.last_epoch_detections));
+  state.counters["planted_pairs"] =
+      benchmark::Counter(static_cast<double>(pairs));
+  g_min_pairs_flagged = std::min(g_min_pairs_flagged, m.last_epoch_detections);
   svc.stop();
 }
 BENCHMARK(BM_ParallelEpochService)
@@ -346,5 +370,10 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (g_smoke && g_min_pairs_flagged == 0) {
+    std::fprintf(stderr,
+                 "smoke: a BM_ParallelEpochService epoch flagged no pair\n");
+    return 1;
+  }
   return 0;
 }

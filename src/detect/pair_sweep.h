@@ -8,9 +8,16 @@
 // snapshot.matrix_of(i) — the owner shard's matrix — so the same code
 // serves one matrix or S shard matrices. Neither sweep depends on the
 // matrix carrying the T_N frequent aggregate: Basic tests each cell
-// against T_N during its complement scan, and Optimized recomputes the
+// against T_N during its row walk, and Optimized recomputes the
 // aggregate from the row (charging the scans) when the matrix was built
 // for another threshold.
+//
+// Work is proportional to stored cells, cost to the paper's model: C4
+// (N_(i,j) >= T_N > 0) can only pass on a stored cell, so each sweep
+// walks row i's stored cells and runs the full check only for the
+// frequent ones, charging every other partner its exact per-partner
+// scans and checks in bulk (DESIGN.md §15.1). Both throw
+// std::invalid_argument when T_N is 0.
 //
 // Parallelism: the outer node index [0, n) is split into contiguous
 // ranges, one task per range, run through snapshot.executor (serial when
@@ -31,9 +38,9 @@ namespace p2prep::detect {
 
 /// Basic-method sweep: for each high-reputed row i (one C1 check per
 /// row), every partner j except a lower high-reputed one — that pair was
-/// settled from j's row — with the complement scanned element by element
-/// per direction. Returns the canonicalized report (pairs only — rings
-/// never come from the pairwise methods).
+/// settled from j's row — charged a complement scan of the row's other
+/// stored cells per direction. Returns the canonicalized report (pairs
+/// only — rings never come from the pairwise methods).
 [[nodiscard]] core::DetectionReport sweep_basic(
     const EpochSnapshot& snapshot, const core::DetectorConfig& config);
 

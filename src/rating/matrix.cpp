@@ -1,5 +1,6 @@
 #include "rating/matrix.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -15,6 +16,54 @@ constexpr std::uint64_t unordered_pair_key(NodeId i, NodeId j) noexcept {
 }
 
 }  // namespace
+
+PairStats& RatingMatrix::FlatRow::find_or_insert(NodeId rater) {
+  if (capacity_ != 0) {
+    const std::uint32_t mask = capacity_ - 1;
+    std::uint32_t s = home(rater, mask);
+    for (; slots_[s].stats.total != 0; s = (s + 1) & mask) {
+      if (slots_[s].rater == rater) return slots_[s].stats;
+    }
+    if ((static_cast<std::uint64_t>(size_) + 1) * 4 <=
+        static_cast<std::uint64_t>(capacity_) * 3) {
+      slots_[s].rater = rater;
+      ++size_;
+      return slots_[s].stats;
+    }
+  }
+  grow();
+  ++size_;
+  return claim(rater);
+}
+
+PairStats& RatingMatrix::FlatRow::claim(NodeId rater) noexcept {
+  const std::uint32_t mask = capacity_ - 1;
+  std::uint32_t s = home(rater, mask);
+  while (slots_[s].stats.total != 0) s = (s + 1) & mask;
+  slots_[s].rater = rater;
+  return slots_[s].stats;
+}
+
+void RatingMatrix::FlatRow::grow() {
+  const std::uint32_t old_capacity = capacity_;
+  std::unique_ptr<Slot[]> old = std::move(slots_);
+  capacity_ = old_capacity == 0 ? 4 : old_capacity * 2;
+  slots_ = std::make_unique<Slot[]>(capacity_);
+  for (std::uint32_t s = 0; s < old_capacity; ++s) {
+    if (old[s].stats.total != 0) claim(old[s].rater) = old[s].stats;
+  }
+}
+
+void RatingMatrix::FlatRow::clear() noexcept {
+  std::fill_n(slots_.get(), capacity_, Slot{});
+  size_ = 0;
+}
+
+void RatingMatrix::FlatRow::release() noexcept {
+  slots_.reset();
+  capacity_ = 0;
+  size_ = 0;
+}
 
 RatingMatrix::RatingMatrix(std::size_t num_nodes, MatrixBackend backend)
     : backend_(backend), meta_(num_nodes) {
@@ -43,6 +92,7 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
     store.for_each_window_rater(
         i, [&m, i, frequency_threshold, &meta](NodeId rater,
                                                const PairStats& stats) {
+          if (stats.total == 0) return;
           m.mutable_cell(i, rater) = stats;
           if (frequency_threshold > 0 && stats.total >= frequency_threshold)
             meta.frequent_totals += stats;
@@ -54,7 +104,7 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
 PairStats& RatingMatrix::mutable_cell(NodeId ratee, NodeId rater) {
   assert(ratee < size() && rater < size());
   if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
-  return sparse_[ratee][rater];
+  return sparse_[ratee].find_or_insert(rater);
 }
 
 std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
@@ -63,12 +113,8 @@ std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
   if (backend_ == MatrixBackend::kDense) {
     bytes += dense_.rows() * dense_.cols() * sizeof(PairStats);
   } else {
-    for (const SparseRow& row : sparse_) {
-      bytes += sizeof(SparseRow);
-      bytes += row.bucket_count() * sizeof(void*);
-      bytes += row.size() *
-               (sizeof(std::pair<const NodeId, PairStats>) + 2 * sizeof(void*));
-    }
+    bytes += sparse_.capacity() * sizeof(FlatRow);
+    for (const FlatRow& row : sparse_) bytes += row.heap_bytes();
   }
   bytes += checked_.bucket_count() * sizeof(void*);
   bytes += checked_.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
@@ -134,6 +180,7 @@ void RatingMatrix::clear_window() {
 void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
                                 const PairStats& stats) {
   assert(ratee < size() && rater < size() && ratee != rater);
+  if (stats.total == 0) return;
   PairStats& cell = mutable_cell(ratee, rater);
   assert(cell.total == 0 && "restore_cell target must be empty");
   cell = stats;
@@ -157,7 +204,7 @@ std::vector<std::pair<NodeId, PairStats>> RatingMatrix::take_row(
     auto row = dense_.row(ratee);
     std::fill(row.begin(), row.end(), PairStats{});
   } else {
-    sparse_[ratee].clear();
+    sparse_[ratee].release();  // the row moves to another shard for good
   }
   meta_[ratee].totals = PairStats{};
   meta_[ratee].frequent_totals = PairStats{};

@@ -11,16 +11,20 @@
 //  * kDense  — one contiguous n x n block (util::Matrix). Element access
 //    and full-row scans cost exactly what the paper's complexity analysis
 //    charges, so this is the reference ("oracle") representation.
-//  * kSparse — one hash map of non-empty cells per row. Real rating graphs
-//    are extremely sparse (the Amazon/Overstock traces), so this cuts the
-//    footprint from O(n^2) to O(nnz) while producing bit-identical
-//    detection results; tests/differential/ proves the equivalence against
-//    the dense oracle. Sharded service managers default to this backend.
+//  * kSparse — one flat open-addressing table of non-empty cells per row:
+//    (rater, PairStats) slots stored inline, power-of-two capacity, linear
+//    probing, grown at 3/4 load. A slot whose total is 0 is empty, so a
+//    cell is stored exactly when it holds ratings. Real rating graphs are
+//    extremely sparse (the Amazon/Overstock traces), so this cuts the
+//    footprint from O(n^2) to O(nnz) — 16 B per slot, 21-43 B per cell
+//    across the load range — while producing bit-identical detection
+//    results; tests/differential/ proves the equivalence against the
+//    dense oracle. Sharded service managers default to this backend.
 //
 // Detector hot paths consume rows through the backend-agnostic visitors
-// (for_each_cell / cell_or_null) instead of indexing a dense span, so the
-// Basic method's inner scan is O(stored cells of the row): n on the dense
-// oracle (the paper's cost), row nnz on the sparse backend.
+// (for_each_cell / cell_or_null) instead of indexing a dense span, so a
+// row walk is O(stored cells of the row): n on the dense oracle (the
+// paper's cost), row nnz over contiguous slots on the sparse backend.
 //
 // Two reputation views coexist on purpose:
 //  * `global_reputation` — whatever the host reputation system computed
@@ -33,9 +37,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -52,7 +56,7 @@ namespace p2prep::rating {
 /// and per-row scan cost differ.
 enum class MatrixBackend : std::uint8_t {
   kDense,   ///< Contiguous n x n cells — the paper-cost oracle.
-  kSparse,  ///< Hash-map row of non-empty cells — O(nnz) memory.
+  kSparse,  ///< Flat hash row of non-empty cells — O(nnz) memory.
 };
 
 [[nodiscard]] constexpr std::string_view to_string(MatrixBackend b) noexcept {
@@ -131,9 +135,8 @@ class RatingMatrix {
   /// backends — the Optimized method's per-pair read.
   [[nodiscard]] const PairStats& cell(NodeId ratee, NodeId rater) const {
     if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
-    const SparseRow& row = sparse_.at(ratee);
-    const auto it = row.find(rater);
-    return it == row.end() ? kEmptyCell : it->second;
+    const PairStats* stats = sparse_.at(ratee).find(rater);
+    return stats == nullptr ? kEmptyCell : *stats;
   }
 
   /// Pointer to a_(ratee,rater) when the cell holds ratings (total > 0),
@@ -155,7 +158,7 @@ class RatingMatrix {
       const auto row = dense_.row(ratee);
       for (NodeId k = 0; k < row.size(); ++k) fn(k, row[k]);
     } else {
-      for (const auto& [k, stats] : sparse_.at(ratee)) fn(k, stats);
+      sparse_.at(ratee).for_each(fn);
     }
   }
 
@@ -170,14 +173,14 @@ class RatingMatrix {
         if (row[k].total > 0) fn(k, row[k]);
       }
     } else {
-      const auto& row = sparse_.at(ratee);
-      std::vector<NodeId> raters;
-      raters.reserve(row.size());
-      for (const auto& [k, stats] : row) {
-        if (stats.total > 0) raters.push_back(k);
-      }
-      std::sort(raters.begin(), raters.end());
-      for (NodeId k : raters) fn(k, row.find(k)->second);
+      std::vector<std::pair<NodeId, const PairStats*>> cells;
+      const FlatRow& row = sparse_.at(ratee);
+      cells.reserve(row.size());
+      row.for_each([&cells](NodeId k, const PairStats& stats) {
+        cells.emplace_back(k, &stats);
+      });
+      std::sort(cells.begin(), cells.end());
+      for (const auto& [k, stats] : cells) fn(k, *stats);
     }
   }
 
@@ -198,10 +201,10 @@ class RatingMatrix {
   }
 
   /// Resident-memory estimate of this matrix (cells + row metadata + pair
-  /// marks), in bytes. Exact for the dense backend; for the sparse backend
-  /// a conservative model of the hash-map rows (nodes, buckets, map
-  /// headers). The bench memory columns and the footprint regression test
-  /// read this.
+  /// marks), in bytes. Exact for the dense backend and for the sparse
+  /// backend's rows (row headers plus every allocated slot, empty ones
+  /// included); the pair marks are modelled. The bench memory columns and
+  /// the footprint regression test read this.
   [[nodiscard]] std::size_t approx_memory_bytes() const noexcept;
 
   /// What a dense matrix of `num_nodes` costs, without allocating it —
@@ -230,6 +233,8 @@ class RatingMatrix {
   /// Restores a window cell verbatim (checkpoint recovery): installs
   /// `stats` at (ratee, rater) and folds it into the row totals and, when
   /// frequent, the frequent aggregate. The target cell must be empty.
+  /// Restoring empty stats (total 0) is a no-op, so a cell is stored
+  /// exactly when it holds ratings.
   void restore_cell(NodeId ratee, NodeId rater, const PairStats& stats);
 
   /// Extracts row `ratee` for a shard handoff: returns its non-empty
@@ -269,12 +274,79 @@ class RatingMatrix {
     PairStats frequent_totals;
     bool high_reputed = false;
   };
-  using SparseRow = std::unordered_map<NodeId, PairStats>;
+
+  /// One kSparse row: an open-addressing table of (rater, stats) slots
+  /// stored inline. Capacity is 0 or a power of two; a rater's home slot
+  /// is a multiplicative hash of its id and collisions probe linearly. A
+  /// slot with stats.total == 0 is empty: cells only ever grow, and a row
+  /// is emptied as a whole, so no tombstones are needed and a probe stops
+  /// at the first empty slot. Load stays at most 3/4.
+  class FlatRow {
+   public:
+    /// The stats of `rater`, or nullptr when the row holds none.
+    [[nodiscard]] const PairStats* find(NodeId rater) const noexcept {
+      if (size_ == 0) return nullptr;
+      const std::uint32_t mask = capacity_ - 1;
+      for (std::uint32_t s = home(rater, mask);; s = (s + 1) & mask) {
+        const Slot& slot = slots_[s];
+        if (slot.stats.total == 0) return nullptr;
+        if (slot.rater == rater) return &slot.stats;
+      }
+    }
+
+    /// The stats of `rater`, inserting an empty cell when absent. The
+    /// caller must leave a fresh cell non-empty (total > 0), or the slot
+    /// reads as free again while still counted.
+    PairStats& find_or_insert(NodeId rater);
+
+    /// Visits every non-empty cell as fn(rater, stats), in slot order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      if (size_ == 0) return;
+      for (std::uint32_t s = 0; s < capacity_; ++s) {
+        const Slot& slot = slots_[s];
+        if (slot.stats.total != 0) fn(slot.rater, slot.stats);
+      }
+    }
+
+    /// Empties every cell, keeping the allocation for the next window.
+    void clear() noexcept;
+    /// Empties the row and frees its slots.
+    void release() noexcept;
+
+    [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+    [[nodiscard]] std::size_t heap_bytes() const noexcept {
+      return static_cast<std::size_t>(capacity_) * sizeof(Slot);
+    }
+
+   private:
+    struct Slot {
+      NodeId rater = 0;
+      PairStats stats;
+    };
+
+    static std::uint32_t home(NodeId rater, std::uint32_t mask) noexcept {
+      return static_cast<std::uint32_t>(
+                 (static_cast<std::uint64_t>(rater) * 0x9E3779B97F4A7C15ULL) >>
+                 32) &
+             mask;
+    }
+    /// Doubles the capacity (4 from empty) and re-homes every cell.
+    void grow();
+    /// Claims the first free slot on `rater`'s probe path; the rater must
+    /// be absent and a free slot must exist.
+    PairStats& claim(NodeId rater) noexcept;
+
+    std::unique_ptr<Slot[]> slots_;
+    std::uint32_t capacity_ = 0;
+    std::uint32_t size_ = 0;
+  };
 
   /// What an absent sparse cell reads as.
   static constexpr PairStats kEmptyCell{};
 
-  /// Writable cell reference; creates the cell on the sparse backend.
+  /// Writable cell reference; creates the cell on the sparse backend, so
+  /// the caller must leave it non-empty.
   PairStats& mutable_cell(NodeId ratee, NodeId rater);
 
   /// Records (ratee, rater) in the dirty set when tracking is on.
@@ -285,7 +357,7 @@ class RatingMatrix {
 
   MatrixBackend backend_ = MatrixBackend::kDense;
   util::Matrix<PairStats> dense_;  // kDense cells (empty under kSparse)
-  std::vector<SparseRow> sparse_;  // kSparse cells (empty under kDense)
+  std::vector<FlatRow> sparse_;    // kSparse cells (empty under kDense)
   std::vector<RowMeta> meta_;
   std::unordered_set<std::uint64_t> checked_;  // unordered-pair mark keys
   std::size_t high_count_ = 0;

@@ -225,6 +225,9 @@ void RpcServer::accept_ready(Worker& w) {
         active_.load(std::memory_order_acquire) >= config_.max_connections) {
       // Doorman refusal: one kGoAway frame with the backoff hint, then
       // close — the client backs off instead of queueing invisibly.
+      // Counted before the peer can see the close, so a client that
+      // observed its refusal also observes it in stats().
+      rejected_.fetch_add(1, std::memory_order_relaxed);
       const std::string frame = goaway_frame(
           draining_.load(std::memory_order_acquire) ? Status::kShuttingDown
                                                     : Status::kRetryLater);
@@ -233,7 +236,6 @@ void RpcServer::accept_ready(Worker& w) {
         bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
                              std::memory_order_relaxed);
       ::close(fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     const int one = 1;

@@ -3,8 +3,13 @@
 //
 // Producers are client threads calling ReputationService::ingest(); the
 // single consumer per queue is that shard's worker thread (the template is
-// nevertheless MPMC-safe — tests exercise multi-consumer draining). Two
-// overflow policies:
+// nevertheless MPMC-safe — tests exercise multi-consumer draining). The
+// consumer drains in batches: pop_batch() swaps the whole deque out under
+// one lock, and a producer signals only a parked consumer, once per park,
+// so a fast producer facing an idle worker pays no lock ping-pong per
+// element. At most `capacity` elements (plus forced ones) sit in the
+// queue, and one more such batch in the consumer's hands. Two overflow
+// policies:
 //  * kBlock      — producers wait for space; end-to-end backpressure.
 //  * kDropOldest — the oldest *evictable* element is discarded to make
 //    room, so the queue favours fresh ratings under overload. Elements the
@@ -19,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <utility>
 
 #include "util/mutex.h"
@@ -55,10 +59,15 @@ class IngestQueue {
   /// first (counted in dropped()); if nothing is evictable the queue
   /// grows past capacity rather than lose the new element.
   bool push(T value) {
+    bool wake = false;
     {
       util::MutexLock lock(mu_);
       if (policy_ == OverflowPolicy::kBlock) {
-        while (!closed_ && items_.size() >= capacity_) not_full_.wait(mu_);
+        while (!closed_ && items_.size() >= capacity_) {
+          ++blocked_producers_;
+          not_full_.wait(mu_);
+          --blocked_producers_;
+        }
         if (closed_) return false;
       } else if (items_.size() >= capacity_) {
         for (auto it = items_.begin(); it != items_.end(); ++it) {
@@ -71,8 +80,9 @@ class IngestQueue {
       }
       if (closed_) return false;
       items_.push_back(std::move(value));
+      wake = take_wakeup();
     }
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
@@ -84,41 +94,57 @@ class IngestQueue {
   /// front-end sheds on kFull rather than stalling its event loop
   /// (rpc/server.h overload control).
   TryPush try_push(T value) {
+    bool wake = false;
     {
       util::MutexLock lock(mu_);
       if (closed_) return TryPush::kClosed;
       if (items_.size() >= capacity_) return TryPush::kFull;
       items_.push_back(std::move(value));
+      wake = take_wakeup();
     }
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return TryPush::kOk;
   }
 
   /// Enqueues regardless of capacity and policy; only fails when closed.
   /// Never blocks and never causes an eviction.
   bool push_forced(T value) {
+    bool wake = false;
     {
       util::MutexLock lock(mu_);
       if (closed_) return false;
       items_.push_back(std::move(value));
+      wake = take_wakeup();
     }
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks until an element is available or the queue is closed and
-  /// drained; nullopt means no element will ever come again.
-  std::optional<T> pop() {
-    std::optional<T> value;
+  /// Blocks until an element is queued or the queue is closed and
+  /// drained, then moves every queued element into `batch` (cleared
+  /// first), in FIFO order, by swapping deques under one lock — the
+  /// batch's storage is recycled as the queue's next buffer. Returns
+  /// false, with `batch` empty, when no element will ever come again.
+  /// Producers blocked on a full queue are woken once per batch.
+  bool pop_batch(std::deque<T>& batch) {
+    batch.clear();
+    bool wake_producers = false;
     {
       util::MutexLock lock(mu_);
-      while (!closed_ && items_.empty()) not_empty_.wait(mu_);
-      if (items_.empty()) return std::nullopt;
-      value.emplace(std::move(items_.front()));
-      items_.pop_front();
+      while (!closed_ && items_.empty()) {
+        ++parked_consumers_;
+        not_empty_.wait(mu_);
+        --parked_consumers_;
+        // Whoever was signalled is awake now; the next push may signal
+        // again if this consumer (or another) parks once more.
+        wakeup_pending_ = false;
+      }
+      if (items_.empty()) return false;
+      std::swap(batch, items_);
+      wake_producers = blocked_producers_ > 0;
     }
-    not_full_.notify_one();
-    return value;
+    if (wake_producers) not_full_.notify_all();
+    return true;
   }
 
   /// Stops accepting pushes; queued elements remain poppable (drain).
@@ -157,6 +183,14 @@ class IngestQueue {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
+  /// Whether a push must signal not_empty_: only when a consumer is
+  /// parked and no signal is already on its way to one.
+  bool take_wakeup() P2PREP_REQUIRES(mu_) {
+    if (parked_consumers_ == 0 || wakeup_pending_) return false;
+    wakeup_pending_ = true;
+    return true;
+  }
+
   const std::size_t capacity_;
   const OverflowPolicy policy_;
   const Evictable evictable_;
@@ -167,6 +201,9 @@ class IngestQueue {
   std::deque<T> items_ P2PREP_GUARDED_BY(mu_);
   std::uint64_t dropped_ P2PREP_GUARDED_BY(mu_) = 0;
   bool closed_ P2PREP_GUARDED_BY(mu_) = false;
+  std::size_t parked_consumers_ P2PREP_GUARDED_BY(mu_) = 0;
+  std::size_t blocked_producers_ P2PREP_GUARDED_BY(mu_) = 0;
+  bool wakeup_pending_ P2PREP_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace p2prep::service

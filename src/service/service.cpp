@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -779,57 +780,64 @@ void ReputationService::crash_stop() {
 
 void ReputationService::worker_loop(std::shared_ptr<ShardSlot> slot_ptr) {
   ShardSlot& slot = *slot_ptr;
-  while (auto rec = slot.queue.pop()) {
-    if (crashing_.load(std::memory_order_relaxed)) return;
-    if (rec->kind == WalRecordKind::kRating) {
-      if (config_.cluster) {
-        // Decentralized-manager mode: the rating's authoritative home is
-        // its owner key range in the manager cluster. The forward is
-        // synchronous, so by the time this worker parks at the next epoch
-        // barrier every rating it routed is acknowledged cluster-side.
-        if (config_.cluster->forward(slot.shard.index(), rec->rating))
-          cluster_forwards_.fetch_add(1, std::memory_order_relaxed);
-        else
-          cluster_forward_failures_.fetch_add(1, std::memory_order_relaxed);
-        handled_records_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      slot.shard.log_record(*rec);
-      {
-        // Overlapped-epoch commit point: while the coordinator scans the
-        // frozen matrices, ratings are buffered (already WAL-logged, so
-        // log order is unchanged) and applied by the coordinator after
-        // the epoch commits. Outside an overlap window the lock is
-        // uncontended and the rating applies directly.
-        const util::MutexLock lock(slot.apply_mu_);
-        if (slot.deferred) {
-          slot.pending.push_back(*rec);
-          handled_records_.fetch_add(1, std::memory_order_release);
-          continue;
-        }
-        slot.shard.apply_rating(rec->rating);
-      }
-      if (config_.epoch_scope == EpochScope::kPerShard &&
-          slot.shard.epoch_due(rec->rating.time)) {
-        slot.shard.log_record(
-            WalRecord::make_marker(slot.shard.epochs_completed() + 1));
-        run_shard_epoch(slot);
-      }
-    } else if (rec->kind == WalRecordKind::kEpochMarker) {
-      slot.shard.log_record(*rec);
-      if (config_.epoch_scope == EpochScope::kPerShard)
-        run_shard_epoch(slot);
-      else
-        global_barrier(slot, rec->epoch_seq);
-    } else {
-      // Resize fence. Logged so a crash inside the handoff window leaves
-      // evidence (recovery strips it and resumes under the old map); a
-      // committed resize rotates this WAL, so the marker never survives
-      // one.
-      slot.shard.log_record(*rec);
-      resize_fence(rec->epoch_seq);
+  // The queue hands over everything it holds at once; the records are
+  // handled in queue order, so batching changes no observable order.
+  std::deque<WalRecord> batch;
+  while (slot.queue.pop_batch(batch)) {
+    for (const WalRecord& rec : batch) {
+      if (crashing_.load(std::memory_order_relaxed)) return;
+      handle_record(slot, rec);
+      handled_records_.fetch_add(1, std::memory_order_release);
     }
-    handled_records_.fetch_add(1, std::memory_order_release);
+  }
+}
+
+void ReputationService::handle_record(ShardSlot& slot, const WalRecord& rec) {
+  if (rec.kind == WalRecordKind::kRating) {
+    if (config_.cluster) {
+      // Decentralized-manager mode: the rating's authoritative home is
+      // its owner key range in the manager cluster. The forward is
+      // synchronous, so by the time this worker parks at the next epoch
+      // barrier every rating it routed is acknowledged cluster-side.
+      if (config_.cluster->forward(slot.shard.index(), rec.rating))
+        cluster_forwards_.fetch_add(1, std::memory_order_relaxed);
+      else
+        cluster_forward_failures_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    slot.shard.log_record(rec);
+    {
+      // Overlapped-epoch commit point: while the coordinator scans the
+      // frozen matrices, ratings are buffered (already WAL-logged, so
+      // log order is unchanged) and applied by the coordinator after
+      // the epoch commits. Outside an overlap window the lock is
+      // uncontended and the rating applies directly.
+      const util::MutexLock lock(slot.apply_mu_);
+      if (slot.deferred) {
+        slot.pending.push_back(rec);
+        return;
+      }
+      slot.shard.apply_rating(rec.rating);
+    }
+    if (config_.epoch_scope == EpochScope::kPerShard &&
+        slot.shard.epoch_due(rec.rating.time)) {
+      slot.shard.log_record(
+          WalRecord::make_marker(slot.shard.epochs_completed() + 1));
+      run_shard_epoch(slot);
+    }
+  } else if (rec.kind == WalRecordKind::kEpochMarker) {
+    slot.shard.log_record(rec);
+    if (config_.epoch_scope == EpochScope::kPerShard)
+      run_shard_epoch(slot);
+    else
+      global_barrier(slot, rec.epoch_seq);
+  } else {
+    // Resize fence. Logged so a crash inside the handoff window leaves
+    // evidence (recovery strips it and resumes under the old map); a
+    // committed resize rotates this WAL, so the marker never survives
+    // one.
+    slot.shard.log_record(rec);
+    resize_fence(rec.epoch_seq);
   }
 }
 

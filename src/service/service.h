@@ -255,6 +255,9 @@ class ReputationService {
   [[nodiscard]] std::vector<std::shared_ptr<ShardSlot>> all_slots() const;
 
   void worker_loop(std::shared_ptr<ShardSlot> slot);
+  /// One queued record on its shard's worker: log + apply (or defer, or
+  /// forward), epoch marker, or resize fence.
+  void handle_record(ShardSlot& slot, const WalRecord& rec);
   void run_shard_epoch(ShardSlot& slot);
   void global_barrier(ShardSlot& slot, std::uint64_t seq);
   /// Worker side of a resize: parks at the fence until the handoff for

@@ -9,10 +9,6 @@
 // tests/differential/cluster_differential_test.cpp.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -25,30 +21,13 @@
 #include "cluster/protocol.h"
 #include "rpc/client.h"
 #include "service/wal.h"
+#include "tests/cluster/ports.h"
 
 namespace p2prep::cluster {
 namespace {
 
 using rating::Rating;
 using rating::Score;
-
-/// Reserves a free loopback port by binding an ephemeral socket and
-/// closing it. The tiny race (another process grabbing the port before
-/// the manager binds it) is acceptable in tests.
-std::uint16_t reserve_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
 
 constexpr std::size_t kNumNodes = 60;
 constexpr std::size_t kRingSize = 3;
@@ -57,15 +36,21 @@ constexpr std::uint32_t kReplication = 2;
 class ClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    for (std::size_t i = 0; i < kRingSize; ++i)
-      ring_.push_back({"127.0.0.1", reserve_port()});
-    for (std::size_t i = 0; i < kRingSize; ++i) {
-      nodes_.push_back(std::make_unique<ManagerNode>(node_config(i)));
-      nodes_.back()->start();
-    }
+    ring_ = test_ports::start_on_fresh_ports(
+        kRingSize, [this](const std::vector<ManagerEndpoint>& ring) {
+          stop_all();  // what an attempt on a taken port left running
+          nodes_.clear();
+          ring_ = ring;
+          for (std::size_t i = 0; i < kRingSize; ++i) {
+            nodes_.push_back(std::make_unique<ManagerNode>(node_config(i)));
+            nodes_.back()->start();
+          }
+        });
   }
 
-  void TearDown() override {
+  void TearDown() override { stop_all(); }
+
+  void stop_all() {
     for (auto& n : nodes_)
       if (n) n->stop();
   }

@@ -13,6 +13,7 @@
 //     never-killed control cluster fed the same trace.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -22,6 +23,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,27 +33,13 @@
 #include "cluster/client.h"
 #include "cluster/protocol.h"
 #include "service/wal.h"
+#include "tests/cluster/ports.h"
 #include "tests/differential/trace_gen.h"
 
 namespace p2prep::cluster {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::uint16_t reserve_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
 
 bool port_open(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -62,14 +52,6 @@ bool port_open(std::uint16_t port) {
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
   ::close(fd);
   return ok;
-}
-
-bool wait_for_port(std::uint16_t port, int timeout_ms = 15000) {
-  for (int waited = 0; waited < timeout_ms; waited += 50) {
-    if (port_open(port)) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
 }
 
 std::string ring_spec(const std::vector<ManagerEndpoint>& ring) {
@@ -87,6 +69,11 @@ class ManagerProcess {
   ManagerProcess() = default;
   ~ManagerProcess() { kill_now(); }
 
+  /// Starts the child and waits until its port accepts connections. The
+  /// child's stderr goes to `<data_dir>.stderr`; when the child exits
+  /// before serving (a port another socket took, among other causes),
+  /// this throws std::runtime_error carrying that output, so
+  /// test_ports::start_on_fresh_ports() can tell a taken port apart.
   void spawn(std::size_t index, const std::vector<ManagerEndpoint>& ring,
              std::size_t num_nodes, const fs::path& data_dir) {
     const std::vector<std::string> args = {
@@ -101,15 +88,32 @@ class ManagerProcess {
     for (const std::string& a : args)
       argv.push_back(const_cast<char*>(a.c_str()));
     argv.push_back(nullptr);
+    fs::create_directories(data_dir.parent_path());
+    const std::string err_path = data_dir.string() + ".stderr";
 
     pid_ = ::fork();
     ASSERT_GE(pid_, 0);
     if (pid_ == 0) {
+      const int err = ::open(err_path.c_str(),
+                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      if (err >= 0) ::dup2(err, STDERR_FILENO);
       ::execv(P2PREP_CLI_PATH, argv.data());
       ::_exit(127);  // exec failed
     }
-    ASSERT_TRUE(wait_for_port(ring[index].port))
-        << "manager " << index << " never opened port " << ring[index].port;
+    const std::uint16_t port = ring[index].port;
+    for (int waited = 0; waited < 15000; waited += 50) {
+      if (port_open(port) && !exited()) return;
+      if (exited()) {
+        std::ifstream in(err_path);
+        const std::string output((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+        throw std::runtime_error("manager " + std::to_string(index) +
+                                 " exited before serving port " +
+                                 std::to_string(port) + ": " + output);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    FAIL() << "manager " << index << " never opened port " << port;
   }
 
   /// SIGKILL — the crash under test, and the teardown hammer.
@@ -122,6 +126,18 @@ class ManagerProcess {
   }
 
   [[nodiscard]] bool running() const noexcept { return pid_ > 0; }
+
+ private:
+  /// Reaps the child if it has exited (then pid_ is -1).
+  bool exited() {
+    if (pid_ <= 0) return true;
+    int status = 0;
+    if (::waitpid(pid_, &status, WNOHANG) != pid_) return false;
+    pid_ = -1;
+    return true;
+  }
+
+ public:
 
  private:
   pid_t pid_ = -1;
@@ -163,11 +179,15 @@ class ClusterFailoverTest : public ::testing::Test {
   void start_cluster(Cluster& c, const std::string& name,
                      std::size_t num_nodes) {
     c.dir = root_ / name;
-    for (std::size_t i = 0; i < kRingSize; ++i)
-      c.ring.push_back({"127.0.0.1", reserve_port()});
-    for (std::size_t i = 0; i < kRingSize; ++i)
-      c.procs[i].spawn(i, c.ring, num_nodes,
-                       c.dir / ("mgr" + std::to_string(i)));
+    c.ring = test_ports::start_on_fresh_ports(
+        kRingSize, [&](const std::vector<ManagerEndpoint>& ring) {
+          // Undo an attempt on a taken port: its children and data dirs.
+          for (ManagerProcess& p : c.procs) p.kill_now();
+          fs::remove_all(c.dir);
+          for (std::size_t i = 0; i < kRingSize; ++i)
+            c.procs[i].spawn(i, ring, num_nodes,
+                             c.dir / ("mgr" + std::to_string(i)));
+        });
   }
 
   static ClusterClientConfig client_config(const Cluster& c,

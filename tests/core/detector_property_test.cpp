@@ -4,6 +4,7 @@
 // table rather than a scenario.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/basic_detector.h"
@@ -24,6 +25,14 @@ struct GridPoint {
   double t_b;
   std::uint32_t t_n;
 };
+
+// Prints the grid point's values, so the test names ctest registers carry
+// no padding bytes and stay stable from one build to the next.
+void PrintTo(const GridPoint& g, std::ostream* os) {
+  *os << "N=" << g.pair_total << " a=" << g.pair_positive_fraction
+      << " b=" << g.complement_positive_fraction << " T_a=" << g.t_a
+      << " T_b=" << g.t_b << " T_N=" << g.t_n;
+}
 
 class DetectorGridTest : public ::testing::TestWithParam<GridPoint> {};
 

@@ -3,9 +3,15 @@
 // trace_gen.h, the report text (format_epoch_report) and the charged
 // cost (CostCounter::to_string) of one single-matrix configuration:
 // {basic, optimized} x {matrix built with T_N, built with threshold 0} x
-// {dense, sparse}. The constants were recorded from the row-scan
-// detectors that predate the shared detect/ sweeps, so any drift in a
-// verdict, an evidence field or a charged scan/check shows up here.
+// {dense, sparse}, each under the per-seed detector config of
+// trace_gen.h. The constants were recorded from the row-scan detectors
+// that predate the shared detect/ sweeps, so any drift in a verdict, an
+// evidence field or a charged scan/check shows up here. Eight more cases
+// force one-sided mode (require_mutual = false) or the paper-literal
+// Formula (2) (joint_complement = false) on every seed, on both backends;
+// the sweeps charge skipped partners in bulk with counts that branch on
+// both flags, and these constants were recorded from the per-partner
+// sweeps that preceded the bulk charge.
 //
 // To re-record after an intended change, run the suite: each failure
 // prints the digest the current code produces.
@@ -41,13 +47,28 @@ constexpr std::uint64_t kSeeds = 100;
 
 enum class Method { kBasic, kOptimized };
 
+/// How the per-seed config of trace_gen.h is overridden.
+enum class Variant {
+  kSeedConfig,     ///< As trace_gen.h draws it.
+  kOneSided,       ///< require_mutual = false on every seed.
+  kPaperFormula2,  ///< joint_complement = false on every seed.
+};
+
 struct DigestCase {
   const char* name;
   Method method;
   bool tn_built;  ///< Matrix carries the T_N frequent aggregate (else 0).
   MatrixBackend backend;
   std::uint64_t digest;
+  Variant variant = Variant::kSeedConfig;
 };
+
+core::DetectorConfig config_of(const DigestCase& c, std::uint64_t seed) {
+  core::DetectorConfig cfg = testgen::config_for(seed);
+  if (c.variant == Variant::kOneSided) cfg.require_mutual = false;
+  if (c.variant == Variant::kPaperFormula2) cfg.joint_complement = false;
+  return cfg;
+}
 
 // Prints the case by name, so the test names ctest registers carry no
 // pointer bytes and stay stable from one build to the next.
@@ -65,7 +86,7 @@ std::uint64_t digest_of(const DigestCase& c) {
   std::string text;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const testgen::Trace trace = testgen::make_trace(seed);
-    const core::DetectorConfig cfg = testgen::config_for(seed);
+    const core::DetectorConfig cfg = config_of(c, seed);
     RatingStore store(trace.n);
     for (const Rating& r : trace.ratings) store.ingest(r);
     const RatingMatrix matrix = build_matrix(
@@ -98,6 +119,22 @@ constexpr DigestCase kCases[] = {
      0x809a5aebdc14d061ULL},
     {"OptimizedZeroSparse", Method::kOptimized, false, MatrixBackend::kSparse,
      0x9000e347ad0f8215ULL},
+    {"BasicOneSidedDense", Method::kBasic, true, MatrixBackend::kDense,
+     0x1fd7ce09a8cc49b7ULL, Variant::kOneSided},
+    {"BasicOneSidedSparse", Method::kBasic, true, MatrixBackend::kSparse,
+     0xa07770c15bcc34c6ULL, Variant::kOneSided},
+    {"BasicFormula2Dense", Method::kBasic, true, MatrixBackend::kDense,
+     0x70ee617406ef8d11ULL, Variant::kPaperFormula2},
+    {"BasicFormula2Sparse", Method::kBasic, true, MatrixBackend::kSparse,
+     0x01d0474f34babf5dULL, Variant::kPaperFormula2},
+    {"OptimizedOneSidedDense", Method::kOptimized, true,
+     MatrixBackend::kDense, 0x9bff221d7db6b8e1ULL, Variant::kOneSided},
+    {"OptimizedOneSidedSparse", Method::kOptimized, true,
+     MatrixBackend::kSparse, 0x0d57948f2f5b0becULL, Variant::kOneSided},
+    {"OptimizedFormula2Dense", Method::kOptimized, true,
+     MatrixBackend::kDense, 0x73a9bf5ccb161227ULL, Variant::kPaperFormula2},
+    {"OptimizedFormula2Sparse", Method::kOptimized, true,
+     MatrixBackend::kSparse, 0x8cc64928b463b859ULL, Variant::kPaperFormula2},
 };
 
 class SweepDigestTest : public ::testing::TestWithParam<DigestCase> {};

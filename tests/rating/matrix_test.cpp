@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 namespace p2prep::rating {
@@ -154,6 +157,181 @@ TEST(RatingMatrixTest, BuildFlagsNothingWhenAllLow) {
   const std::vector<double> reps{0.0, 0.0, 0.0};
   const RatingMatrix m = RatingMatrix::build(store, reps, 0.05);
   EXPECT_EQ(m.high_reputed_count(), 0u);
+}
+
+// --- kSparse flat rows ------------------------------------------------------
+
+/// Score pattern for rater k's t-th rating, so every cell's counts differ.
+Score score_for(NodeId k, std::uint32_t t) {
+  return (k + t) % 3 == 0 ? Score::kNegative
+                          : ((k + t) % 3 == 1 ? Score::kPositive
+                                              : Score::kNeutral);
+}
+
+/// Rates row `ratee` from every rater in `raters`, rater k (k % 4) + 1
+/// times; returns the expected cells.
+std::map<NodeId, PairStats> fill_row(RatingMatrix& m, NodeId ratee,
+                                     const std::vector<NodeId>& raters) {
+  std::map<NodeId, PairStats> expected;
+  for (const NodeId k : raters) {
+    for (std::uint32_t t = 0; t < k % 4 + 1; ++t) {
+      m.add_rating(ratee, k, score_for(k, t));
+      expected[k].add(score_for(k, t));
+    }
+  }
+  return expected;
+}
+
+std::map<NodeId, PairStats> visited_cells(const RatingMatrix& m, NodeId i) {
+  std::map<NodeId, PairStats> cells;
+  m.for_each_cell(i, [&](NodeId k, const PairStats& stats) {
+    EXPECT_TRUE(cells.emplace(k, stats).second) << "rater " << k << " twice";
+  });
+  return cells;
+}
+
+TEST(RatingMatrixTest, FlatRowGrowthAcrossRehashesKeepsEveryCell) {
+  constexpr std::size_t kNodes = 5000;
+  RatingMatrix m(kNodes, MatrixBackend::kSparse);
+  // Strided raters (hash-unfriendly) across many doublings of the row.
+  std::vector<NodeId> raters;
+  for (NodeId k = 1; k < kNodes; k += 3) raters.push_back(k);
+  std::size_t previous_bytes = m.approx_memory_bytes();
+  std::map<NodeId, PairStats> expected;
+  for (std::size_t chunk = 0; chunk < raters.size(); chunk += 97) {
+    const std::vector<NodeId> part(
+        raters.begin() + static_cast<std::ptrdiff_t>(chunk),
+        raters.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(raters.size(), chunk + 97)));
+    for (const auto& [k, stats] : fill_row(m, 0, part)) expected[k] = stats;
+    // Every cell written so far survives each rehash.
+    for (const auto& [k, stats] : expected) ASSERT_EQ(m.cell(0, k), stats);
+    EXPECT_GE(m.approx_memory_bytes(), previous_bytes);
+    previous_bytes = m.approx_memory_bytes();
+  }
+  EXPECT_EQ(visited_cells(m, 0), expected);
+  PairStats sum;
+  for (const auto& [k, stats] : expected) sum += stats;
+  EXPECT_EQ(m.totals(0), sum);
+  // Raters in the gaps were never stored.
+  for (NodeId k = 2; k < kNodes; k += 3) EXPECT_EQ(m.cell(0, k).total, 0u);
+  // The table doubles at 3/4 load, so it is never under 3/8 full: with
+  // 16-B slots a row costs at most 16 / (3/8) B per cell.
+  const std::size_t empty_bytes =
+      RatingMatrix(kNodes, MatrixBackend::kSparse).approx_memory_bytes();
+  EXPECT_LE(m.approx_memory_bytes() - empty_bytes,
+            expected.size() * 16 * 8 / 3 + 16);
+}
+
+TEST(RatingMatrixTest, FlatRowAbsentRaterReadsEmpty) {
+  RatingMatrix m(64, MatrixBackend::kSparse);
+  // A row never written, and a row with cells whose probe paths the
+  // absent raters cross.
+  EXPECT_EQ(m.cell(5, 7).total, 0u);
+  EXPECT_EQ(m.cell_or_null(5, 7), nullptr);
+  EXPECT_TRUE(visited_cells(m, 5).empty());
+  const auto expected = fill_row(m, 3, {1, 2, 4, 8, 16, 32, 33, 63});
+  for (NodeId k = 0; k < 64; ++k) {
+    if (expected.contains(k)) {
+      EXPECT_EQ(m.cell(3, k), expected.at(k));
+      EXPECT_NE(m.cell_or_null(3, k), nullptr);
+    } else {
+      EXPECT_EQ(m.cell(3, k), PairStats{}) << "rater " << k;
+      EXPECT_EQ(m.cell_or_null(3, k), nullptr);
+    }
+  }
+}
+
+TEST(RatingMatrixTest, FlatRowVisitsExactlyTheNonEmptyCells) {
+  constexpr std::size_t kNodes = 300;
+  RatingMatrix sparse(kNodes, MatrixBackend::kSparse);
+  RatingMatrix dense(kNodes, MatrixBackend::kDense);
+  std::vector<NodeId> raters;
+  for (NodeId k = 0; k < kNodes; ++k)
+    if (k != 9 && (k * 7) % 5 != 0) raters.push_back(k);
+  const auto expected = fill_row(sparse, 9, raters);
+  fill_row(dense, 9, raters);
+  const auto visited = visited_cells(sparse, 9);
+  EXPECT_EQ(visited, expected);
+  for (const auto& [k, stats] : visited) EXPECT_GT(stats.total, 0u);
+  // The ordered enumeration agrees with the dense oracle's.
+  std::vector<std::pair<NodeId, PairStats>> from_sparse, from_dense;
+  sparse.for_each_nonzero_cell(9, [&](NodeId k, const PairStats& s) {
+    from_sparse.emplace_back(k, s);
+  });
+  dense.for_each_nonzero_cell(9, [&](NodeId k, const PairStats& s) {
+    from_dense.emplace_back(k, s);
+  });
+  EXPECT_EQ(from_sparse, from_dense);
+  EXPECT_TRUE(std::is_sorted(
+      from_sparse.begin(), from_sparse.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; }));
+}
+
+TEST(RatingMatrixTest, FlatRowTakeRowAndClearWindowThenReAdd) {
+  constexpr std::size_t kNodes = 200;
+  RatingMatrix m(kNodes, MatrixBackend::kSparse);
+  m.set_frequency_threshold(3);
+  std::vector<NodeId> raters;
+  for (NodeId k = 10; k < 150; ++k) raters.push_back(k);
+  const auto expected = fill_row(m, 4, raters);
+
+  const auto taken = m.take_row(4);
+  ASSERT_EQ(taken.size(), expected.size());
+  EXPECT_TRUE(std::equal(taken.begin(), taken.end(), expected.begin(),
+                         [](const auto& x, const auto& y) {
+                           return x.first == y.first && x.second == y.second;
+                         }));
+  EXPECT_TRUE(visited_cells(m, 4).empty());
+  EXPECT_EQ(m.totals(4), PairStats{});
+  EXPECT_EQ(m.frequent_totals(4), PairStats{});
+  EXPECT_EQ(m.cell(4, 10).total, 0u);
+
+  // The emptied row takes new cells, and its frequent aggregate restarts.
+  const auto again = fill_row(m, 4, {11, 13, 17});
+  EXPECT_EQ(visited_cells(m, 4), again);
+  PairStats frequent;
+  for (const auto& [k, stats] : again)
+    if (stats.total >= 3) frequent += stats;
+  EXPECT_EQ(m.frequent_totals(4), frequent);
+
+  fill_row(m, 5, raters);
+  m.clear_window();
+  EXPECT_TRUE(visited_cells(m, 4).empty());
+  EXPECT_TRUE(visited_cells(m, 5).empty());
+  EXPECT_EQ(m.cell(5, 12).total, 0u);
+  const auto refilled = fill_row(m, 5, {12, 99, 149});
+  EXPECT_EQ(visited_cells(m, 5), refilled);
+  EXPECT_EQ(m.totals(5).total, 1u + 4u + 2u);  // (k % 4) + 1 each
+}
+
+TEST(RatingMatrixTest, RestoreCellKeepsStoredIffNonEmpty) {
+  for (const MatrixBackend backend :
+       {MatrixBackend::kSparse, MatrixBackend::kDense}) {
+    RatingMatrix m(16, backend);
+    m.set_frequency_threshold(2);
+    m.restore_cell(3, 4, PairStats{});  // empty stats store nothing
+    EXPECT_EQ(m.cell_or_null(3, 4), nullptr);
+    EXPECT_EQ(m.totals(3), PairStats{});
+    const PairStats stats{.total = 5, .positive = 4, .negative = 1};
+    m.restore_cell(3, 6, stats);
+    EXPECT_EQ(m.cell(3, 6), stats);
+    EXPECT_EQ(m.totals(3), stats);
+    EXPECT_EQ(m.frequent_totals(3), stats);
+    std::size_t stored = 0;
+    m.for_each_cell(3, [&](NodeId k, const PairStats& s) {
+      if (backend == MatrixBackend::kSparse) {
+        ++stored;
+        EXPECT_EQ(k, 6u);
+      }
+      EXPECT_EQ(s.total > 0, k == 6u);
+    });
+    if (backend == MatrixBackend::kSparse) EXPECT_EQ(stored, 1u);
+    // The empty restore left a slot free: a later rating from 4 lands.
+    m.add_rating(3, 4, Score::kPositive);
+    EXPECT_EQ(m.cell(3, 4).total, 1u);
+    EXPECT_EQ(m.totals(3).total, 6u);
+  }
 }
 
 }  // namespace

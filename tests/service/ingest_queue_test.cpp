@@ -4,20 +4,26 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>
 #include <vector>
 
 namespace p2prep::service {
 namespace {
 
+/// Drains whatever the queue holds right now (it must hold something or
+/// be closed), as a vector for easy comparison.
+std::vector<int> drain_batch(IngestQueue<int>& q) {
+  std::deque<int> batch;
+  q.pop_batch(batch);
+  return {batch.begin(), batch.end()};
+}
+
 TEST(IngestQueueTest, FifoOrderPreserved) {
   IngestQueue<int> q(8, OverflowPolicy::kBlock);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(IngestQueueTest, BlockPolicyAppliesBackpressure) {
@@ -27,7 +33,7 @@ TEST(IngestQueueTest, BlockPolicyAppliesBackpressure) {
 
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(q.push(3));  // blocks until a slot frees up
+    EXPECT_TRUE(q.push(3));  // blocks until a batch frees the queue
     third_pushed.store(true);
   });
 
@@ -35,11 +41,10 @@ TEST(IngestQueueTest, BlockPolicyAppliesBackpressure) {
   EXPECT_FALSE(third_pushed.load());
   EXPECT_EQ(q.size(), 2u);
 
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 1);
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 2}));
   producer.join();
   EXPECT_TRUE(third_pushed.load());
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{3}));
   EXPECT_EQ(q.dropped(), 0u);
 }
 
@@ -51,9 +56,7 @@ TEST(IngestQueueTest, DropOldestEvictsFromTheFront) {
   EXPECT_TRUE(q.push(4));  // evicts 1
   EXPECT_EQ(q.dropped(), 1u);
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(*q.pop(), 2);
-  EXPECT_EQ(*q.pop(), 3);
-  EXPECT_EQ(*q.pop(), 4);
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{2, 3, 4}));
 }
 
 TEST(IngestQueueTest, DropOldestSkipsNonEvictableElements) {
@@ -66,9 +69,7 @@ TEST(IngestQueueTest, DropOldestSkipsNonEvictableElements) {
   EXPECT_TRUE(q.push(3));
   EXPECT_TRUE(q.push(8));  // evicts 2, the first evictable element
   EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(*q.pop(), 1);
-  EXPECT_EQ(*q.pop(), 3);
-  EXPECT_EQ(*q.pop(), 8);
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 3, 8}));
 }
 
 TEST(IngestQueueTest, DropOldestGrowsWhenNothingIsEvictable) {
@@ -86,8 +87,7 @@ TEST(IngestQueueTest, PushForcedBypassesCapacity) {
   EXPECT_TRUE(q.push(1));
   EXPECT_TRUE(q.push_forced(2));  // would block as a normal push
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(*q.pop(), 1);
-  EXPECT_EQ(*q.pop(), 2);
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 2}));
 }
 
 TEST(IngestQueueTest, CloseDrainsRemainingElements) {
@@ -97,9 +97,10 @@ TEST(IngestQueueTest, CloseDrainsRemainingElements) {
   q.close();
   EXPECT_FALSE(q.push(3));
   EXPECT_FALSE(q.push_forced(4));
-  EXPECT_EQ(*q.pop(), 1);
-  EXPECT_EQ(*q.pop(), 2);
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 2}));
+  std::deque<int> batch{7};  // stale contents are cleared
+  EXPECT_FALSE(q.pop_batch(batch));
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(IngestQueueTest, PurgeAndCloseDiscardsEverything) {
@@ -108,7 +109,8 @@ TEST(IngestQueueTest, PurgeAndCloseDiscardsEverything) {
   EXPECT_TRUE(q.push(2));
   q.purge_and_close();
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(q.pop().has_value());
+  std::deque<int> batch;
+  EXPECT_FALSE(q.pop_batch(batch));
 }
 
 TEST(IngestQueueTest, CloseUnblocksWaitingProducer) {
@@ -126,6 +128,80 @@ TEST(IngestQueueTest, CloseUnblocksWaitingProducer) {
   EXPECT_TRUE(returned.load());
 }
 
+TEST(IngestQueueTest, TryPushReportsFullAtCapacity) {
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kBlock, OverflowPolicy::kDropOldest}) {
+    using TryPush = IngestQueue<int>::TryPush;
+    IngestQueue<int> q(2, policy);
+    EXPECT_EQ(q.try_push(1), TryPush::kOk);
+    EXPECT_EQ(q.try_push(2), TryPush::kOk);
+    // Full: neither waits nor evicts, whatever the policy.
+    EXPECT_EQ(q.try_push(3), TryPush::kFull);
+    EXPECT_EQ(q.dropped(), 0u);
+    // A batch frees the whole capacity at once.
+    EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 2}));
+    EXPECT_EQ(q.try_push(4), TryPush::kOk);
+    EXPECT_EQ(q.try_push(5), TryPush::kOk);
+    q.close();
+    EXPECT_EQ(q.try_push(6), TryPush::kClosed);
+    EXPECT_EQ(drain_batch(q), (std::vector<int>{4, 5}));
+  }
+}
+
+// A consumer parked on an empty queue must be woken by close() and by
+// purge_and_close(), and then see the end of the stream.
+TEST(IngestQueueTest, CloseWakesParkedConsumer) {
+  for (const bool purge : {false, true}) {
+    IngestQueue<int> q(4, OverflowPolicy::kBlock);
+    std::atomic<bool> returned{false};
+    bool got_batch = true;
+    std::thread consumer([&] {
+      std::deque<int> batch;
+      got_batch = q.pop_batch(batch);
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(returned.load());
+    if (purge)
+      q.purge_and_close();
+    else
+      q.close();
+    consumer.join();
+    EXPECT_TRUE(returned.load());
+    EXPECT_FALSE(got_batch) << (purge ? "purge_and_close" : "close");
+  }
+}
+
+// A parked consumer is woken by the first push after it parks, every time
+// it parks — the once-per-park signal must never be lost.
+TEST(IngestQueueTest, ParkedConsumerWakesOnEveryRefill) {
+  IngestQueue<int> q(4, OverflowPolicy::kBlock);
+  constexpr int kRounds = 200;
+  std::atomic<int> consumed{0};
+  std::thread consumer([&] {
+    std::deque<int> batch;
+    while (q.pop_batch(batch))
+      consumed.fetch_add(static_cast<int>(batch.size()));
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_TRUE(q.push(i));
+    // Wait for the consumer to take it, so it parks again before the
+    // next push; a lost wakeup leaves it parked past the deadline.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (consumed.load() <= i &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    if (consumed.load() <= i) {
+      ADD_FAILURE() << "consumer missed the wakeup for element " << i;
+      break;
+    }
+  }
+  q.close();
+  consumer.join();
+  EXPECT_EQ(consumed.load(), kRounds);
+}
+
 TEST(IngestQueueTest, ManyProducersOneConsumer) {
   IngestQueue<int> q(64, OverflowPolicy::kBlock);
   constexpr int kProducers = 4;
@@ -139,12 +215,55 @@ TEST(IngestQueueTest, ManyProducersOneConsumer) {
     });
   }
   int popped = 0;
+  std::deque<int> batch;
   while (popped < kProducers * kPerProducer) {
-    if (q.pop().has_value()) ++popped;
+    if (q.pop_batch(batch)) popped += static_cast<int>(batch.size());
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(popped, kProducers * kPerProducer);
   EXPECT_EQ(q.size(), 0u);
+}
+
+// Batches never reorder one producer's elements: under many concurrent
+// producers (blocking, non-blocking and forced pushes mixed), the
+// consumer sees each producer's sequence in push order, complete.
+TEST(IngestQueueTest, PerProducerFifoUnderManyProducers) {
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 2000;
+  IngestQueue<int> q(16, OverflowPolicy::kBlock);
+
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int value = p * kPerProducer + i;
+        if (i % 7 == 0) {
+          EXPECT_TRUE(q.push_forced(value));
+        } else if (i % 3 == 0) {
+          while (q.try_push(value) != IngestQueue<int>::TryPush::kOk)
+            std::this_thread::yield();
+        } else {
+          EXPECT_TRUE(q.push(value));
+        }
+      }
+    });
+  }
+
+  std::vector<int> next(kProducers, 0);
+  int seen = 0;
+  std::deque<int> batch;
+  while (seen < kProducers * kPerProducer && q.pop_batch(batch)) {
+    for (const int value : batch) {
+      const int p = value / kPerProducer;
+      ASSERT_EQ(value % kPerProducer, next[p]) << "producer " << p;
+      ++next[p];
+      ++seen;
+    }
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(seen, kProducers * kPerProducer);
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[p], kPerProducer);
 }
 
 }  // namespace

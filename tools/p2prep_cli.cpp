@@ -318,6 +318,10 @@ int cmd_detect(const Args& args) {
   const rating::RatingStore store = build_store(ratings);
 
   const core::DetectorConfig dc = detector_config_from(args);
+  if (dc.frequency_min == 0) {
+    std::fprintf(stderr, "error: --tn must be >= 1\n");
+    return 2;
+  }
   std::vector<double> reps(store.num_nodes());
   for (rating::NodeId i = 0; i < store.num_nodes(); ++i)
     reps[i] = static_cast<double>(store.window_totals(i).reputation_delta());
@@ -414,6 +418,10 @@ int cmd_simulate(const Args& args) {
       args.get_double("churn-leave", spec.config.churn_leave_prob);
   spec.config.churn_rejoin_prob =
       args.get_double("churn-rejoin", spec.config.churn_rejoin_prob);
+  if (spec.detector_config.frequency_min == 0) {
+    std::fprintf(stderr, "error: --tn must be >= 1\n");
+    return 2;
+  }
 
   const net::ExperimentResult r = net::run_experiment(spec);
   std::printf("engine=%s detector=%s runs=%zu\n",
