@@ -269,13 +269,13 @@ BENCHMARK(BM_RingEpoch10k)
     ->Iterations(5);
 
 // Parallel-epoch scaling: wall time of one full global epoch through the
-// sharded service. Arg 0: shard count. Arg 1: epoch scan threads, with 0
-// selecting the serial coordinator (parallel_epoch = false) as the
-// baseline. The trace is 10k nodes at ~1% cell density with planted
-// colluding pairs (1 per 40 nodes); overlap is off so the measurement is
+// sharded service. Arg 0: shard count. Arg 1: epoch scan threads, with 1
+// selecting the serial coordinator (no scan pool) as the baseline. The
+// trace is 10k nodes at ~1% cell density with planted colluding pairs
+// (1 per 40 nodes); overlap is off so the measurement is
 // the pure frozen-state scan, not ingest admission, and suppression is off
 // so every timed epoch sees the same state and flags the same pairs. The
-// scaling figure is the (shards=4, threads=0) vs (shards=4, threads=hw)
+// scaling figure is the (shards=4, threads=1) vs (shards=4, threads=hw)
 // ratio.
 //
 // Each ratee draws ~n/100 organic ratings, and a colluder's are 90%
@@ -298,9 +298,8 @@ void BM_ParallelEpochService(benchmark::State& state) {
   cfg.detector = "optimized";
   cfg.detector_config = config();
   cfg.record_reports = false;
-  cfg.parallel_epoch = threads != 0;
   cfg.epoch_overlap = false;
-  cfg.epoch_scan_threads = threads == 0 ? 1 : threads;
+  cfg.epoch_scan_threads = threads;
   cfg.suppression = managers::CentralizedManager::SuppressionMode::kNone;
   service::ReputationService svc(cfg);
 
@@ -345,7 +344,7 @@ void BM_ParallelEpochService(benchmark::State& state) {
   svc.stop();
 }
 BENCHMARK(BM_ParallelEpochService)
-    ->ArgsProduct({{1, 2, 4}, {0, 2, 4}})
+    ->ArgsProduct({{1, 2, 4}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

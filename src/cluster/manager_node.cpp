@@ -732,7 +732,6 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
   for (rating::NodeId id : req->flagged)
     if (id >= config_.service.num_nodes)
       return rpc::Status::kInvalidArgument;
-  using SuppressionMode = managers::CentralizedManager::SuppressionMode;
   std::uint64_t completed = 0;
   {
     const util::MutexLock lock(state_mu_);
@@ -754,28 +753,11 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
         completed = std::max(completed, store->shard.epochs_completed());
         continue;
       }
-      // Replay the single-process global epoch's exact mutation sequence
-      // (service.cpp run_global_epoch) on this range: update, apply
-      // verdicts to owned ids, update again, close the epoch.
+      // The single-process global epoch's exact mutation sequence on this
+      // range: the pre-detection update, then the shared verdict commit.
       store->shard.manager().update_reputations();
-      std::vector<rating::NodeId> owned;
-      if (config_.service.suppression != SuppressionMode::kNone &&
-          !req->flagged.empty()) {
-        for (rating::NodeId id : req->flagged) {
-          if (map_.owner(id) != store->range) continue;
-          owned.push_back(id);
-          store->shard.manager().restore_detected({id});
-          if (config_.service.suppression == SuppressionMode::kPin)
-            store->shard.engine().suppress(id);
-          else
-            store->shard.engine().reset_reputation(id);
-        }
-        store->shard.manager().update_reputations();
-      } else {
-        for (rating::NodeId id : req->flagged)
-          if (map_.owner(id) == store->range) owned.push_back(id);
-      }
-      store->shard.finish_global_epoch(req->epoch_seq, owned, std::string());
+      store->shard.commit_global_epoch(req->epoch_seq, req->flagged, map_,
+                                       std::string());
       // The epoch commit is the durable point: checkpoint + rotate keeps
       // each range's WAL a pure post-epoch rating stream.
       if (!config_.data_dir.empty() &&

@@ -8,9 +8,9 @@
 // write only task-local output (e.g. a per-range sub-report) which the
 // caller merges in task-index order after run() returns.
 //
-// Hosts provide the labor: the service's global epoch runs tasks on its
-// scan pool and on shard workers parked at the epoch barrier; benches and
-// tests use ThreadPoolExecutor below; a null executor on the snapshot means
+// Hosts provide the labor through ThreadPoolExecutor below: the service's
+// global epoch wraps its scan pool (epoch_scan_threads threads), benches
+// and tests wrap pools of their own. A null executor on the snapshot means
 // serial (the caller's own thread runs every task in index order). Since
 // any executor yields the same merged output as the serial path, recovery
 // replay may run parallel or serial and still reproduce every byte.
@@ -40,8 +40,9 @@ class Executor {
   }
 };
 
-/// Executor over a util::ThreadPool: the adapter benches and tests use to
-/// run a sweep in parallel. Not owning; the pool must outlive it.
+/// Executor over a util::ThreadPool: the one way a sweep runs in parallel,
+/// in the service's global epoch as in benches and tests. The caller's
+/// thread only waits. Not owning; the pool must outlive it.
 class ThreadPoolExecutor final : public Executor {
  public:
   explicit ThreadPoolExecutor(util::ThreadPool& pool) noexcept

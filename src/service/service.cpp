@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "detect/executor.h"
 #include "detect/registry.h"
 
 namespace p2prep::service {
@@ -110,18 +111,14 @@ ReputationService::ReputationService(ServiceConfig config)
       throw std::invalid_argument(
           "service: detector 'group' does not support multi-shard global "
           "epochs (use per-shard scope, one shard, or detector 'ring')");
-    if (config_.parallel_epoch) {
-      const std::size_t budget =
-          config_.epoch_scan_threads != 0
-              ? config_.epoch_scan_threads
-              : std::min<std::size_t>(
-                    std::max<std::size_t>(
-                        1, std::thread::hardware_concurrency()),
-                    8);
-      epoch_scan_threads_.store(budget, std::memory_order_relaxed);
-      if (budget > 1)
-        epoch_pool_ = std::make_unique<util::ThreadPool>(budget - 1);
-    }
+    const std::size_t threads =
+        config_.epoch_scan_threads != 0
+            ? config_.epoch_scan_threads
+            : std::min<std::size_t>(
+                  std::max<std::size_t>(1,
+                                        std::thread::hardware_concurrency()),
+                  8);
+    if (threads > 1) epoch_pool_ = std::make_unique<util::ThreadPool>(threads);
   }
   // Fails fast on unknown detector names before any shard work starts
   // (create() throws listing every registered name).
@@ -426,53 +423,9 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
 
 // --- Ingest ----------------------------------------------------------------
 
-bool ReputationService::ingest(const rating::Rating& r) {
-  if (stopped_.load(std::memory_order_relaxed)) return false;
-  if (r.rater == r.ratee || r.rater >= config_.num_nodes ||
-      r.ratee >= config_.num_nodes) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const WalRecord rec = WalRecord::make_rating(r);
-
-  if (config_.epoch_scope == EpochScope::kPerShard) {
-    const auto table = routing_table();
-    if (!table->slots[table->map->owner(r.ratee)]->queue.push(rec))
-      return false;
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    routed_records_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  // Global scope: the router owns the epoch cadence, so the rating push
-  // and any marker injection must be one atomic routing step.
-  const util::MutexLock lock(route_mu_);
-  if (!routing_->slots[routing_->map->owner(r.ratee)]->queue.push(rec))
-    return false;
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  routed_records_.fetch_add(1, std::memory_order_relaxed);
-  ++routed_since_epoch_;
-
-  const bool due =
-      (config_.epoch_ratings > 0 &&
-       routed_since_epoch_ >= config_.epoch_ratings) ||
-      (config_.epoch_ticks > 0 &&
-       r.time >= global_last_epoch_tick_ + config_.epoch_ticks);
-  if (due) {
-    const std::uint64_t seq = ++epoch_seq_;
-    for (const auto& slot : routing_->slots) {
-      if (slot->queue.push_forced(WalRecord::make_marker(seq)))
-        routed_records_.fetch_add(1, std::memory_order_relaxed);
-    }
-    routed_since_epoch_ = 0;
-    global_last_epoch_tick_ = r.time;
-  }
-  return true;
-}
-
-ReputationService::IngestResult ReputationService::try_ingest(
-    const rating::Rating& r) {
-  using TryPush = IngestQueue<WalRecord>::TryPush;
+template <typename Push>
+ReputationService::IngestResult ReputationService::route_rating(
+    const rating::Rating& r, Push push) {
   if (stopped_.load(std::memory_order_relaxed)) return IngestResult::kStopped;
   if (r.rater == r.ratee || r.rater >= config_.num_nodes ||
       r.ratee >= config_.num_nodes) {
@@ -483,43 +436,63 @@ ReputationService::IngestResult ReputationService::try_ingest(
 
   if (config_.epoch_scope == EpochScope::kPerShard) {
     const auto table = routing_table();
-    switch (table->slots[table->map->owner(r.ratee)]->queue.try_push(rec)) {
+    const IngestResult res =
+        push(table->slots[table->map->owner(r.ratee)]->queue, rec);
+    if (res != IngestResult::kAccepted) return res;
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    routed_records_.fetch_add(1, std::memory_order_relaxed);
+    return res;
+  }
+
+  // Global scope: the router owns the epoch cadence, so the rating push
+  // and any marker injection must be one atomic routing step; a push that
+  // fails bails out before any cadence state is touched.
+  const util::MutexLock lock(route_mu_);
+  const IngestResult res =
+      push(routing_->slots[routing_->map->owner(r.ratee)]->queue, rec);
+  if (res != IngestResult::kAccepted) return res;
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  routed_records_.fetch_add(1, std::memory_order_relaxed);
+  ++routed_since_epoch_;
+  if ((config_.epoch_ratings > 0 &&
+       routed_since_epoch_ >= config_.epoch_ratings) ||
+      (config_.epoch_ticks > 0 &&
+       r.time >= global_last_epoch_tick_ + config_.epoch_ticks)) {
+    inject_epoch_markers();
+    global_last_epoch_tick_ = r.time;
+  }
+  return res;
+}
+
+std::uint64_t ReputationService::inject_epoch_markers() {
+  const std::uint64_t seq = ++epoch_seq_;
+  for (const auto& slot : routing_->slots) {
+    if (slot->queue.push_forced(WalRecord::make_marker(seq)))
+      routed_records_.fetch_add(1, std::memory_order_relaxed);
+  }
+  routed_since_epoch_ = 0;
+  return seq;
+}
+
+bool ReputationService::ingest(const rating::Rating& r) {
+  const auto push = [](IngestQueue<WalRecord>& queue, const WalRecord& rec) {
+    return queue.push(rec) ? IngestResult::kAccepted : IngestResult::kStopped;
+  };
+  return route_rating(r, push) == IngestResult::kAccepted;
+}
+
+ReputationService::IngestResult ReputationService::try_ingest(
+    const rating::Rating& r) {
+  using TryPush = IngestQueue<WalRecord>::TryPush;
+  const auto push = [](IngestQueue<WalRecord>& queue, const WalRecord& rec) {
+    switch (queue.try_push(rec)) {
       case TryPush::kClosed: return IngestResult::kStopped;
       case TryPush::kFull: return IngestResult::kBusy;
       case TryPush::kOk: break;
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    routed_records_.fetch_add(1, std::memory_order_relaxed);
     return IngestResult::kAccepted;
-  }
-
-  // Global scope: same atomic route-and-maybe-epoch step as ingest(); a
-  // full queue bails out before any cadence state is touched.
-  const util::MutexLock lock(route_mu_);
-  switch (routing_->slots[routing_->map->owner(r.ratee)]->queue.try_push(rec)) {
-    case TryPush::kClosed: return IngestResult::kStopped;
-    case TryPush::kFull: return IngestResult::kBusy;
-    case TryPush::kOk: break;
-  }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  routed_records_.fetch_add(1, std::memory_order_relaxed);
-  ++routed_since_epoch_;
-
-  const bool due =
-      (config_.epoch_ratings > 0 &&
-       routed_since_epoch_ >= config_.epoch_ratings) ||
-      (config_.epoch_ticks > 0 &&
-       r.time >= global_last_epoch_tick_ + config_.epoch_ticks);
-  if (due) {
-    const std::uint64_t seq = ++epoch_seq_;
-    for (const auto& slot : routing_->slots) {
-      if (slot->queue.push_forced(WalRecord::make_marker(seq)))
-        routed_records_.fetch_add(1, std::memory_order_relaxed);
-    }
-    routed_since_epoch_ = 0;
-    global_last_epoch_tick_ = r.time;
-  }
-  return IngestResult::kAccepted;
+  };
+  return route_rating(r, push);
 }
 
 std::uint64_t ReputationService::queue_depth() const {
@@ -531,13 +504,7 @@ std::uint64_t ReputationService::queue_depth() const {
 
 std::uint64_t ReputationService::force_epoch() {
   const util::MutexLock lock(route_mu_);
-  const std::uint64_t seq = ++epoch_seq_;
-  for (const auto& slot : routing_->slots) {
-    if (slot->queue.push_forced(WalRecord::make_marker(seq)))
-      routed_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (config_.epoch_scope == EpochScope::kGlobal) routed_since_epoch_ = 0;
-  return seq;
+  return inject_epoch_markers();
 }
 
 void ReputationService::drain() {
@@ -576,10 +543,6 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
     throw std::invalid_argument(
         "service resize: detector 'group' does not support multi-shard "
         "global epochs");
-  if (config_.engine_normalize)
-    throw std::invalid_argument(
-        "service resize: normalized engine publication is not supported "
-        "(per-shard normalization mass would shift mid-window)");
   if (config_.cluster)
     throw std::invalid_argument(
         "service resize: decentralized-manager mode pins the shard count "
@@ -861,109 +824,28 @@ void ReputationService::run_shard_epoch(ShardSlot& slot) {
 }
 
 void ReputationService::global_barrier(ShardSlot&, std::uint64_t seq) {
-  bool coordinator = false;
   {
-    const util::MutexLock lock(epoch_mu_);
-    ++arrived_;
-    if (arrived_ == barrier_size_) {
-      arrived_ = 0;
-      coordinator = true;
+    util::MutexLock lock(epoch_mu_);
+    if (++arrived_ < barrier_size_) {
+      // Parked worker: wait until the coordinator completes the epoch (or,
+      // with epoch_overlap, releases the barrier once state is frozen).
+      while (epoch_done_seq_ < seq &&
+             !crashing_.load(std::memory_order_relaxed))
+        epoch_cv_.wait(epoch_mu_);
+      return;
     }
-  }
-  if (!coordinator) {
-    // Parked worker: wait for the epoch to complete, lending this thread
-    // to the coordinator's scan whenever tasks are published. The claim
-    // loop runs off-lock, hence the re-lock dance.
-    for (;;) {
-      {
-        util::MutexLock lock(epoch_mu_);
-        while (epoch_done_seq_ < seq &&
-               !crashing_.load(std::memory_order_relaxed) &&
-               !scan_work_available())
-          epoch_cv_.wait(epoch_mu_);
-        if (epoch_done_seq_ >= seq ||
-            crashing_.load(std::memory_order_relaxed))
-          return;
-      }
-      scan_claim_loop();
-    }
+    arrived_ = 0;
   }
   // Coordinator (last arriver): every other worker is parked, all shard
-  // state is frozen. The epoch body runs off-lock so parked workers and
-  // pool helpers can claim scan tasks — and, with epoch_overlap, so the
-  // released workers can keep ingesting while the scan runs.
+  // state is frozen. The epoch body runs off-lock so that, with
+  // epoch_overlap, the released workers can keep ingesting while the scan
+  // pool sweeps.
   run_global_epoch(seq, /*live=*/true);
   {
     const util::MutexLock lock(epoch_mu_);
     epoch_done_seq_ = seq;
   }
   epoch_cv_.notify_all();
-}
-
-bool ReputationService::scan_work_available() const {
-  return scan_fn_ != nullptr && scan_next_ < scan_task_count_;
-}
-
-std::size_t ReputationService::scan_concurrency() const noexcept {
-  return 1 + (epoch_pool_ ? epoch_pool_->size() : 0);
-}
-
-void ReputationService::scan_claim_loop() {
-  for (;;) {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t idx = 0;
-    {
-      const util::MutexLock lock(epoch_mu_);
-      if (scan_fn_ == nullptr || scan_next_ >= scan_task_count_) return;
-      idx = scan_next_++;
-      fn = scan_fn_;
-    }
-    try {
-      (*fn)(idx);
-    } catch (...) {
-      const util::MutexLock lock(epoch_mu_);
-      if (!scan_error_) scan_error_ = std::current_exception();
-    }
-    bool batch_done = false;
-    {
-      const util::MutexLock lock(epoch_mu_);
-      ++scan_done_;
-      batch_done = scan_done_ >= scan_task_count_;
-    }
-    if (batch_done) epoch_cv_.notify_all();
-  }
-}
-
-void ReputationService::run_scan_tasks(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  {
-    const util::MutexLock lock(epoch_mu_);
-    scan_fn_ = &fn;
-    scan_task_count_ = count;
-    scan_next_ = 0;
-    scan_done_ = 0;
-    scan_error_ = nullptr;
-  }
-  epoch_cv_.notify_all();  // parked workers start claiming
-  if (epoch_pool_) {
-    const std::size_t helpers = std::min(epoch_pool_->size(), count);
-    for (std::size_t h = 0; h < helpers; ++h)
-      epoch_pool_->submit([this] { scan_claim_loop(); });
-  }
-  scan_claim_loop();  // the coordinator claims too
-  std::exception_ptr err;
-  {
-    util::MutexLock lock(epoch_mu_);
-    while (scan_done_ < scan_task_count_) epoch_cv_.wait(epoch_mu_);
-    scan_fn_ = nullptr;
-    err = scan_error_;
-    scan_error_ = nullptr;
-  }
-  // Helper jobs that never got to claim must not outlive this call (they
-  // touch epoch_mu_, and `fn` dies with the caller's frame).
-  if (epoch_pool_) epoch_pool_->wait_idle();
-  if (err) std::rethrow_exception(err);
 }
 
 void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
@@ -1000,8 +882,7 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   const bool checkpoint_due =
       live && checkpoints_enabled_.load(std::memory_order_relaxed) &&
       seq % config_.checkpoint_every_epochs == 0;
-  const bool overlap = live && config_.parallel_epoch &&
-                       config_.epoch_overlap && !checkpoint_due &&
+  const bool overlap = live && config_.epoch_overlap && !checkpoint_due &&
                        slots.size() > 1 &&
                        !crashing_.load(std::memory_order_relaxed);
   if (overlap) {
@@ -1021,31 +902,14 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   const core::DetectionReport report = global_detect(*table);
   const std::vector<rating::NodeId> flagged = report.colluders();
 
-  using SuppressionMode = managers::CentralizedManager::SuppressionMode;
-  if (config_.suppression != SuppressionMode::kNone && !flagged.empty()) {
-    for (rating::NodeId id : flagged) {
-      ServiceShard& owner = slots[table->map->owner(id)]->shard;
-      owner.manager().restore_detected({id});
-      if (config_.suppression == SuppressionMode::kPin)
-        owner.engine().suppress(id);
-      else
-        owner.engine().reset_reputation(id);
-    }
-    for (const auto& slot : slots) slot->shard.manager().update_reputations();
-  }
-
   std::string text;
   if (config_.record_reports) {
     text = format_epoch_report("global", seq, report);
     const util::MutexLock lock(log_mu_);
     report_log_ += text;
   }
-  for (const auto& slot : slots) {
-    std::vector<rating::NodeId> owned;
-    for (rating::NodeId id : flagged)
-      if (table->map->owner(id) == slot->shard.index()) owned.push_back(id);
-    slot->shard.finish_global_epoch(seq, owned, text);
-  }
+  for (const auto& slot : slots)
+    slot->shard.commit_global_epoch(seq, flagged, *table->map, text);
 
   if (config_.cluster) {
     // Cluster-wide epoch commit: every manager replays the same verdict
@@ -1116,9 +980,10 @@ core::DetectionReport ReputationService::global_detect(
   for (const auto& slot : slots)
     snap.matrices.push_back(&slot->shard.manager().matrix());
   if (snap.matrices.size() > 1) snap.owners = table.map->owners();
-  // Lend the coordinator's scan labor (pool helpers + parked workers) to
-  // the detect layer; a null executor keeps every sweep serial.
-  if (config_.parallel_epoch) snap.executor = &scan_executor_;
+  // The scan pool runs the sweep's row-range tasks; without one the
+  // executor stays null and every sweep runs serially on this thread.
+  std::optional<detect::ThreadPoolExecutor> executor;
+  if (epoch_pool_) snap.executor = &executor.emplace(*epoch_pool_);
   if (global_detector_->wants_dirty_tracking()) {
     snap.dirty.reserve(slots.size());
     for (const auto& slot : slots)
@@ -1245,7 +1110,7 @@ ServiceMetrics ReputationService::metrics() const {
   }
 
   // Parallel-epoch gauges.
-  m.epoch_scan_threads = epoch_scan_threads_.load(std::memory_order_relaxed);
+  m.epoch_scan_threads = epoch_pool_ ? epoch_pool_->size() : 1;
   m.epoch_overlap_us = epoch_overlap_us_.load(std::memory_order_relaxed);
   m.accomplice_exchange_rounds =
       accomplice_rounds_.load(std::memory_order_relaxed);

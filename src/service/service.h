@@ -10,13 +10,13 @@
 //  * EpochScope::kGlobal — the router injects an epoch marker into every
 //    queue; workers barrier on it and the last arriver becomes the epoch
 //    COORDINATOR: it freezes all shards' state, then fans the detection
-//    sweep out as row-range tasks claimed by the scan pool and by the
-//    other workers parked at the barrier, merging per-range findings in
-//    range order so the report is byte-identical to a serial pass
-//    (cross-shard pairs included). With epoch_overlap on, the parked
-//    workers are instead released as soon as the state is frozen and
-//    resume ingest into per-shard pending buffers while the coordinator
-//    scans; the buffered ratings apply after the epoch commits, so the
+//    sweep out as row-range tasks on the scan pool (a
+//    detect::ThreadPoolExecutor of epoch_scan_threads threads), merging
+//    per-range findings in range order so the report is byte-identical to
+//    a serial pass (cross-shard pairs included). With epoch_overlap on,
+//    the parked workers are released as soon as the state is frozen and
+//    resume ingest into per-shard pending buffers while the pool scans;
+//    the buffered ratings apply after the epoch commits, so the
 //    logical stream order — and every report, WAL and checkpoint byte —
 //    matches the non-overlapped run. Epochs are totally ordered and
 //    replay-deterministic.
@@ -53,14 +53,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "detect/executor.h"
 #include "service/ingest_queue.h"
 #include "service/metrics.h"
 #include "service/shard.h"
@@ -162,7 +160,7 @@ class ReputationService {
   /// ingest of non-moving keys continues throughout, bounded by one
   /// handoff window. Throws std::invalid_argument for unsupported
   /// configurations (per-shard scope, shard count 0, detector "group"
-  /// with > 1 shard, normalized engine) and std::runtime_error when the
+  /// with > 1 shard, cluster mode) and std::runtime_error when the
   /// service is stopped or the durable commit fails.
   ResizeStats resize(std::size_t new_num_shards);
 
@@ -254,6 +252,17 @@ class ReputationService {
   /// lifecycle paths that must reach retiring / not-yet-applied shards.
   [[nodiscard]] std::vector<std::shared_ptr<ShardSlot>> all_slots() const;
 
+  /// The routing step of ingest()/try_ingest(): validates `r`, hands its
+  /// record to the owner shard's queue through `push` (queue, record) ->
+  /// IngestResult, and — in global scope, atomically with the push —
+  /// injects the next epoch's markers when the cadence says one is due.
+  template <typename Push>
+  IngestResult route_rating(const rating::Rating& r, Push push)
+      P2PREP_EXCLUDES(route_mu_);
+  /// Pushes the next epoch marker into every routing queue and restarts
+  /// the rating-count cadence. Returns the marker's sequence number.
+  std::uint64_t inject_epoch_markers() P2PREP_REQUIRES(route_mu_);
+
   void worker_loop(std::shared_ptr<ShardSlot> slot);
   /// One queued record on its shard's worker: log + apply (or defer, or
   /// forward), epoch marker, or resize fence.
@@ -274,21 +283,6 @@ class ReputationService {
   void record_epoch_metrics(std::chrono::steady_clock::time_point start,
                             std::size_t detections);
   void checkpoint_shard(ShardSlot& slot);
-  /// Publishes `count` scan tasks, lends the calling (coordinator) thread
-  /// plus the scan pool — and, in non-overlap epochs, the workers parked
-  /// at the barrier — to claim them, and returns once every task ran
-  /// (rethrowing the first task exception). Tasks are pure compute over
-  /// frozen state; determinism comes from the caller merging task-local
-  /// results in task-index order.
-  void run_scan_tasks(std::size_t count,
-                      const std::function<void(std::size_t)>& fn)
-      P2PREP_EXCLUDES(epoch_mu_);
-  /// Claims and runs published scan tasks until none remain.
-  void scan_claim_loop() P2PREP_EXCLUDES(epoch_mu_);
-  [[nodiscard]] bool scan_work_available() const
-      P2PREP_REQUIRES(epoch_mu_);
-  /// Total threads a scan can use (coordinator + pool helpers).
-  [[nodiscard]] std::size_t scan_concurrency() const noexcept;
   /// (Re)creates global_detector_ for the given map — at construction and
   /// after every resize (streaming detectors rebuild their caches from
   /// the re-partitioned matrices on the next epoch).
@@ -299,22 +293,10 @@ class ReputationService {
   /// registry for config_.detector. Null in per-shard scope, where each
   /// shard owns its detector.
   std::unique_ptr<detect::Detector> global_detector_;
-  /// Lends the coordinator's scan labor pool to detect-layer sweeps.
-  struct ScanExecutor final : detect::Executor {
-    explicit ScanExecutor(ReputationService* s) noexcept : svc(s) {}
-    void run(std::size_t num_tasks,
-             const std::function<void(std::size_t)>& fn) override {
-      svc->run_scan_tasks(num_tasks, fn);
-    }
-    [[nodiscard]] std::size_t concurrency() const noexcept override {
-      return svc->scan_concurrency();
-    }
-    ReputationService* svc;
-  };
-  ScanExecutor scan_executor_{this};
-  /// Persistent scan helpers (kGlobal + parallel_epoch when the thread
-  /// budget exceeds the coordinator alone). Workers parked at the barrier
-  /// lend themselves on top of this in non-overlap epochs.
+  /// Global-epoch scan threads (kGlobal with epoch_scan_threads above 1);
+  /// the sweep reaches them through a detect::ThreadPoolExecutor. Null =
+  /// the coordinator scans serially on its own thread. Set once in the
+  /// constructor, so metrics() reads its size from any thread.
   std::unique_ptr<util::ThreadPool> epoch_pool_;
   bool recovered_ = false;
   /// Cleared (from any worker) when a checkpoint attempt fails, so the
@@ -329,17 +311,19 @@ class ReputationService {
   //   L0  resize_mu_              resize()/stop() serialization, outermost
   //   L1  route_mu_ | epoch_mu_   router swap / barrier+fence (never held
   //                               together — both only nest under L0)
-  //   L2  applied_mu_             applied-table swap (under epoch_mu_ in
-  //                               the global-epoch body)
-  //   L3  latency_mu_, log_mu_    metric/report leaves (under epoch_mu_)
+  //   L2  applied_mu_             applied-table swap
+  //   L3  latency_mu_, log_mu_    metric/report leaves
   //
-  // Below the service sit the per-object leaves — IngestQueue::mu_ (under
-  // route_mu_: fence/marker injection pushes while routing), WalWriter::
-  // mu_ and ServiceShard::view_mu_/log_mu_ (under epoch_mu_: the last
-  // barrier arriver publishes views and rotates WALs). Those cannot be
-  // named in member annotations here (TSA attribute arguments must be
-  // in-scope member expressions), so their ordering is enforced by the
-  // linter's conventions and documented in DESIGN.md §14.
+  // epoch_mu_ guards only the barrier, fence and overlap counters and is
+  // never held while calling out: the global-epoch body, scan pool sweep
+  // included, runs with no service mutex held. Below the service sit the
+  // per-object leaves — IngestQueue::mu_ (under route_mu_: fence/marker
+  // injection pushes while routing), WalWriter::mu_ and ServiceShard::
+  // view_mu_/log_mu_ (under resize_mu_ in a resize commit, otherwise
+  // taken alone). Those cannot be named in member annotations here (TSA
+  // attribute arguments must be in-scope member expressions), so their
+  // ordering is enforced by the linter's conventions and documented in
+  // DESIGN.md §14.
 
   /// Serializes resize() calls against each other and against stop().
   util::Mutex resize_mu_;
@@ -361,17 +345,6 @@ class ReputationService {
   std::uint64_t epoch_done_seq_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
   std::size_t resize_arrived_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
   std::uint64_t resize_done_epoch_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  // Scan-task claim state (run_scan_tasks / scan_claim_loop). Non-null
-  // scan_fn_ publishes a batch; claimants bump scan_next_, run the task
-  // off-lock, then bump scan_done_. The publisher waits for
-  // scan_done_ == scan_task_count_ and clears scan_fn_ before returning,
-  // so the pointed-to function always outlives its claimants.
-  const std::function<void(std::size_t)>* scan_fn_
-      P2PREP_GUARDED_BY(epoch_mu_) = nullptr;
-  std::size_t scan_task_count_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::size_t scan_next_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::size_t scan_done_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::exception_ptr scan_error_ P2PREP_GUARDED_BY(epoch_mu_);
   /// True from the moment an overlapped epoch releases the barrier until
   /// its buffered ratings have been applied; drain() waits it out.
   bool overlap_inflight_ P2PREP_GUARDED_BY(epoch_mu_) = false;
@@ -398,7 +371,6 @@ class ReputationService {
   std::atomic<std::uint64_t> ring_largest_{0};
   std::atomic<std::uint64_t> ring_scan_us_{0};
   // Parallel-epoch gauges.
-  std::atomic<std::uint64_t> epoch_scan_threads_{1};
   std::atomic<std::uint64_t> epoch_overlap_us_{0};
   std::atomic<std::uint64_t> accomplice_rounds_{0};
   // Cluster gauges (decentralized-manager mode).

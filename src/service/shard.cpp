@@ -27,7 +27,9 @@ std::string format_epoch_report(const std::string& label, std::uint64_t epoch,
 ServiceShard::ServiceShard(std::size_t index, const ServiceConfig& config)
     : index_(index),
       config_(&config),
-      engine_(config.num_nodes, config.engine_normalize),
+      // Raw sums, not normalized ones: a sum is meaningful per shard,
+      // while a normalized value would only compare within a partition.
+      engine_(config.num_nodes, /*normalize=*/false),
       manager_(std::make_unique<managers::IncrementalCentralizedManager>(
           config.num_nodes, engine_, config.detector_config,
           config.matrix_backend)),
@@ -114,6 +116,26 @@ void ServiceShard::finish_global_epoch(
   applied_since_epoch_ = 0;
   last_epoch_tick_ = last_applied_tick_;
   publish_view(epoch_seq, flagged, report_text);
+}
+
+void ServiceShard::commit_global_epoch(
+    std::uint64_t epoch_seq, const std::vector<rating::NodeId>& flagged,
+    const ShardMap& map, const std::string& report_text) {
+  using SuppressionMode = managers::CentralizedManager::SuppressionMode;
+  std::vector<rating::NodeId> owned;
+  for (rating::NodeId id : flagged)
+    if (map.owner(id) == index_) owned.push_back(id);
+  if (config_->suppression != SuppressionMode::kNone && !flagged.empty()) {
+    for (rating::NodeId id : owned) {
+      manager_->restore_detected({id});
+      if (config_->suppression == SuppressionMode::kPin)
+        engine_.suppress(id);
+      else
+        engine_.reset_reputation(id);
+    }
+    manager_->update_reputations();
+  }
+  finish_global_epoch(epoch_seq, owned, report_text);
 }
 
 void ServiceShard::publish_view(std::uint64_t epoch,
@@ -250,7 +272,7 @@ void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {
   // assignment — not reconstruction — keeps that reference valid), then
   // replace the manager wholesale for an empty matrix, and restore.
   engine_ = reputation::SummationEngine(config_->num_nodes,
-                                        config_->engine_normalize);
+                                        /*normalize=*/false);
   manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
       config_->num_nodes, engine_, config_->detector_config,
       config_->matrix_backend);

@@ -25,6 +25,7 @@
 #include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "service/ingest_queue.h"
+#include "service/shard_map.h"
 #include "service/wal.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -36,9 +37,9 @@ enum class EpochScope {
   /// Epoch markers are injected into every shard queue; workers barrier on
   /// them and the last arriver coordinates one detection sweep across all
   /// shards' frozen state — fanned out as row-range tasks over the scan
-  /// pool and the parked workers (see ServiceConfig::parallel_epoch), with
-  /// per-range results merged deterministically. Catches colluding pairs
-  /// that span shards; epochs are totally ordered service-wide.
+  /// pool (see ServiceConfig::epoch_scan_threads), with per-range results
+  /// merged deterministically. Catches colluding pairs that span shards;
+  /// epochs are totally ordered service-wide.
   kGlobal,
   /// Each shard runs epochs on its own cadence over its own partition.
   /// Detection is shard-local (a pair spanning two shards is never
@@ -106,31 +107,23 @@ struct ServiceConfig {
   rating::MatrixBackend matrix_backend = rating::MatrixBackend::kSparse;
   managers::CentralizedManager::SuppressionMode suppression =
       managers::CentralizedManager::SuppressionMode::kReset;
-  /// SummationEngine publication mode. The default (false) publishes raw
-  /// sums, which are meaningful per shard; normalized values would only
-  /// be comparable within a shard's partition anyway.
-  bool engine_normalize = false;
   /// Keep per-epoch detection report text (report_log()).
   bool record_reports = true;
 
-  /// Parallelize the global-epoch detection sweep (kGlobal only): the
-  /// barrier coordinator fans row-range scan tasks across the scan pool
-  /// and the workers parked at the barrier. Per-range results merge in
-  /// range order, so reports, WAL bytes and checkpoints are identical to
-  /// the serial sweep (tests/differential/parallel_epoch_test.cpp). Off =
-  /// the coordinator scans alone on its own thread.
-  bool parallel_epoch = true;
-  /// Overlap detection with ingest (kGlobal + parallel_epoch): once the
-  /// coordinator has frozen reputations, parked workers resume draining
-  /// their queues into per-shard pending buffers (WAL-logged immediately,
-  /// applied after the epoch commits). Checkpoint epochs never overlap, so
-  /// WAL rotation is fenced from the deferred stream. Byte-identical
-  /// output to non-overlapped runs. Off = workers stay parked for the
-  /// whole epoch.
+  /// Overlap detection with ingest (kGlobal): once the coordinator has
+  /// frozen reputations, parked workers resume draining their queues into
+  /// per-shard pending buffers (WAL-logged immediately, applied after the
+  /// epoch commits). Checkpoint epochs never overlap, so WAL rotation is
+  /// fenced from the deferred stream. Byte-identical output to
+  /// non-overlapped runs. Off = workers stay parked for the whole epoch.
   bool epoch_overlap = true;
-  /// Scan thread budget including the coordinator itself; 0 = auto
-  /// (min(hardware_concurrency, 8)). A budget of 1 still lets parked
-  /// workers claim tasks in non-overlapped epochs.
+  /// Global-epoch scan threads (kGlobal only): the detection sweep runs
+  /// as row-range tasks on a pool of this many threads while the barrier
+  /// coordinator waits; per-range results merge in range order, so
+  /// reports, WAL bytes and checkpoints are identical to the serial sweep
+  /// (tests/differential/parallel_epoch_test.cpp). 1 = serial on the
+  /// coordinator's own thread, no pool; 0 = auto
+  /// (min(hardware_concurrency, 8)).
   std::size_t epoch_scan_threads = 0;
 
   /// Directory for WAL + checkpoint files; empty disables durability.
@@ -261,6 +254,17 @@ class ServiceShard {
   /// and publishes the view with the given epoch number / report text.
   void finish_global_epoch(std::uint64_t epoch_seq,
                            const std::vector<rating::NodeId>& flagged,
+                           const std::string& report_text);
+  /// Commits a global epoch's verdicts on this shard, after detection ran
+  /// over reputations already updated for the epoch: suppresses the ids
+  /// of `flagged` that `map` assigns here (under config.suppression),
+  /// re-updates reputations when any id at all is flagged, then
+  /// finish_global_epoch() with the owned ids. The single-process epoch
+  /// and the manager cluster's colluder-set commit both run exactly this
+  /// sequence, which keeps their state byte-identical.
+  void commit_global_epoch(std::uint64_t epoch_seq,
+                           const std::vector<rating::NodeId>& flagged,
+                           const ShardMap& map,
                            const std::string& report_text);
 
   // --- Read side ---

@@ -1,15 +1,16 @@
 // Parallel-epoch differential suite: 100 seeded collusion traces replayed
 // twice per (shard count, detector) cell — once with the parallel global
 // epoch fully on (multithreaded sweep + detection/ingest overlap), once
-// forced serial (parallel_epoch = epoch_overlap = false, today's
-// single-threaded coordinator) — must produce byte-identical detection
-// reports and identical published state. The parallel sweep partitions
-// rows and merges per-range findings in range order, the accomplice
-// exchange converges to the same flagged-set fixpoint as the serial walk,
-// and overlapped ingest applies its buffered stream at the commit point,
-// so no schedule may ever change a byte of output; these tests pin that
-// across the randomized threshold/feature mix of trace_gen.h (which flips
-// joint-complement, mutuality and accomplice flags per seed).
+// forced serial (epoch_scan_threads = 1, epoch_overlap = false: the
+// coordinator sweeps alone on its own thread) — must produce
+// byte-identical detection reports and identical published state. The
+// parallel sweep partitions rows and merges per-range findings in range
+// order, the accomplice exchange converges to the same flagged-set
+// fixpoint as the serial walk, and overlapped ingest applies its buffered
+// stream at the commit point, so no schedule may ever change a byte of
+// output; these tests pin that across the randomized threshold/feature mix
+// of trace_gen.h (which flips joint-complement, mutuality and accomplice
+// flags per seed).
 //
 // The durable variant compares the on-disk artifacts raw: unlike the
 // reshard suite (where WAL generations legitimately diverge), a parallel
@@ -42,10 +43,9 @@ ServiceConfig make_cfg(const testgen::Trace& t, std::uint64_t seed,
   cfg.epoch_ratings = 200;  // several natural cadence epochs per trace
   cfg.detector = detector;
   cfg.detector_config = testgen::config_for(seed);
-  cfg.parallel_epoch = parallel;
   cfg.epoch_overlap = parallel;
-  // A small explicit budget keeps the pool cheap while still exercising
-  // multi-claimant merges; the forced-serial run never consults it.
+  // A small explicit pool keeps the parallel run cheap while still
+  // exercising multi-task merges; 1 thread is the serial coordinator.
   cfg.epoch_scan_threads = parallel ? 3 : 1;
   return cfg;
 }
@@ -54,6 +54,7 @@ struct RunResult {
   std::string report_log;
   std::vector<double> reputations;
   std::vector<bool> suspected;
+  std::uint64_t scan_threads = 0;
 
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
@@ -72,6 +73,7 @@ RunResult run_trace(const ServiceConfig& cfg, const std::vector<Rating>& load) {
     out.reputations[i] = snap.reputation(i);
     out.suspected[i] = snap.suspected(i);
   }
+  out.scan_threads = svc.metrics().epoch_scan_threads;
   svc.stop();
   return out;
 }
@@ -102,6 +104,8 @@ TEST_P(ParallelEpochDifferentialTest, HundredSeedsByteIdenticalToSerial) {
           << "seed " << seed << " shards " << shards;
       ASSERT_FALSE(serial.report_log.empty())
           << "seed " << seed << " shards " << shards;
+      ASSERT_EQ(serial.scan_threads, 1u);
+      ASSERT_EQ(parallel.scan_threads, 3u);
     }
   }
 }
@@ -160,14 +164,13 @@ TEST_F(ParallelEpochDurableTest, WalAndCheckpointBytesMatchSerial) {
     // Every second epoch checkpoints, so the parallel run alternates
     // overlapped and fenced (checkpoint) epochs within one trace.
     cfg.checkpoint_every_epochs = 2;
-    (void)run_trace(cfg, t.ratings);
+    ASSERT_EQ(run_trace(cfg, t.ratings).scan_threads, 1u);
     const auto serial_files = artifacts();
     fs::remove_all(dir_);
 
-    cfg.parallel_epoch = true;
     cfg.epoch_overlap = true;
     cfg.epoch_scan_threads = 3;
-    (void)run_trace(cfg, t.ratings);
+    ASSERT_EQ(run_trace(cfg, t.ratings).scan_threads, 3u);
     const auto parallel_files = artifacts();
     fs::remove_all(dir_);
 

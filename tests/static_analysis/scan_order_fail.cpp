@@ -1,5 +1,5 @@
 // Deliberately lock-order-inverted negative example for the parallel-epoch
-// scan protocol: this file MUST NOT compile under Clang with
+// barrier and overlap state: this file MUST NOT compile under Clang with
 // -Wthread-safety -Wthread-safety-beta -Werror=thread-safety
 // -Werror=thread-safety-beta. It is the canary proving the hierarchy
 // checking stays armed for the mutexes the parallel global epoch added —
@@ -8,12 +8,12 @@
 // file.
 //
 // The hierarchy mirrors the service's real one (service/service.h): the
-// epoch mutex publishes scan tasks and overlap state; the per-slot apply
+// epoch mutex guards the barrier and overlap state; the per-slot apply
 // mutex is a leaf that workers take to decide between applying a rating
 // and buffering it into the pending list. The coordinator flips the
 // deferred flag while holding only the apply mutex — taking the epoch
 // mutex on top of it (as inverted() does) is the inversion that would
-// deadlock a worker against a coordinator publishing scan tasks.
+// deadlock a worker against a coordinator releasing the barrier.
 #include <vector>
 
 #include "util/mutex.h"
@@ -23,32 +23,32 @@ namespace {
 
 class ScanHierarchy {
  public:
-  // Correct order: scan state under the epoch mutex, the apply leaf taken
-  // on its own afterwards — as run_scan_tasks / the worker rating path
-  // write it.
+  // Correct order: barrier state under the epoch mutex, the apply leaf
+  // taken on its own afterwards — as the coordinator's overlap release /
+  // the worker rating path write it.
   void ordered() {
     {
       p2prep::util::MutexLock epoch(epoch_mu_);
-      ++scan_next_;
+      ++arrived_;
     }
     p2prep::util::MutexLock apply(apply_mu_);
-    pending_.push_back(scan_done_);
+    pending_.push_back(epoch_done_);
   }
 
-  // BUG (by design): consults scan progress under epoch_mu_ while still
+  // BUG (by design): consults barrier state under epoch_mu_ while still
   // holding the apply leaf, violating the declared
   // ACQUIRED_AFTER(epoch_mu_) ordering.
   void inverted() {
     p2prep::util::MutexLock apply(apply_mu_);
     p2prep::util::MutexLock epoch(epoch_mu_);
-    pending_.push_back(scan_next_);
+    pending_.push_back(arrived_);
   }
 
  private:
   p2prep::util::Mutex epoch_mu_;
   p2prep::util::Mutex apply_mu_ P2PREP_ACQUIRED_AFTER(epoch_mu_);
-  std::size_t scan_next_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::size_t scan_done_ = 0;
+  std::size_t arrived_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
+  std::size_t epoch_done_ = 0;
   std::vector<std::size_t> pending_ P2PREP_GUARDED_BY(apply_mu_);
 };
 
