@@ -554,6 +554,8 @@ rpc::Status ManagerNode::handle_insert(rpc::Reader& r, std::string& body) {
       store->seqs[req->source] = req->seq;
       store->shard.log_record(service::WalRecord::make_rating(rt));
       store->shard.apply_rating(rt);
+      // The ack below promises the rating survives this holder's crash.
+      store->shard.flush_wal();
     }
   }
   // A holder that is not the range's primary only sees inserts when the
@@ -659,6 +661,7 @@ rpc::Status ManagerNode::handle_replicate(rpc::Reader& r, std::string&) {
     store->seqs[req->source] = req->seq;
     store->shard.log_record(service::WalRecord::make_rating(rt));
     store->shard.apply_rating(rt);
+    store->shard.flush_wal();  // in the WAL file before the ack
   }
   return rpc::Status::kOk;  // replicas never re-replicate
 }

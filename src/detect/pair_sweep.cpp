@@ -285,11 +285,7 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
           report.cost.add_check();
           if (!mi.high_reputed(i)) continue;  // C1
           frequent.clear();
-          mi.for_each_cell(
-              i, [&](rating::NodeId k, const rating::PairStats& stats) {
-                if (k != i && stats.total >= cfg.frequency_min)
-                  frequent.push_back(k);
-              });
+          mi.append_frequent_raters(i, cfg.frequency_min, frequent);
           // Every other partner fails C4 on its a_ij read: one scan and
           // one check each.
           report.cost.add_scan(n - 1 - frequent.size());

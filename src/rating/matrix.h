@@ -162,6 +162,24 @@ class RatingMatrix {
     }
   }
 
+  /// Appends to `out` every rater k != ratee whose cell in row `ratee`
+  /// holds at least `min_total` >= 1 ratings, in for_each_cell order —
+  /// the Optimized sweep's C4 pre-filter. Branch-free over the stored
+  /// cells: which of them pass is data, not a predictable branch.
+  void append_frequent_raters(NodeId ratee, std::uint32_t min_total,
+                              std::vector<NodeId>& out) const {
+    if (backend_ == MatrixBackend::kDense) {
+      const auto row = dense_.row(ratee);
+      append_if(out, row.size(), [&](std::size_t k) {
+        return std::pair{static_cast<NodeId>(k),
+                         unsigned{row[k].total >= min_total} &
+                             unsigned{k != ratee}};
+      });
+    } else {
+      sparse_.at(ratee).append_frequent(ratee, min_total, out);
+    }
+  }
+
   /// Visits the non-empty cells (total > 0) of row `ratee` in ascending
   /// rater order on BOTH backends — the deterministic enumeration used by
   /// snapshot/checkpoint/transfer paths, byte-stable across backends.
@@ -275,6 +293,24 @@ class RatingMatrix {
     bool high_reputed = false;
   };
 
+  /// Appends id for each of `count` positions whose pick(pos) = (id, keep)
+  /// has keep == 1: every id is stored and the length advances by `keep`,
+  /// so the loop carries no data-dependent branch.
+  template <typename Pick>
+  static void append_if(std::vector<NodeId>& out, std::size_t count,
+                        Pick&& pick) {
+    const std::size_t base = out.size();
+    out.resize(base + count + 1);
+    NodeId* dst = out.data() + base;
+    std::size_t kept = 0;
+    for (std::size_t pos = 0; pos < count; ++pos) {
+      const auto [id, keep] = pick(pos);
+      dst[kept] = id;
+      kept += keep;
+    }
+    out.resize(base + kept);
+  }
+
   /// One kSparse row: an open-addressing table of (rater, stats) slots
   /// stored inline. Capacity is 0 or a power of two; a rater's home slot
   /// is a multiplicative hash of its id and collisions probe linearly. A
@@ -307,6 +343,17 @@ class RatingMatrix {
         const Slot& slot = slots_[s];
         if (slot.stats.total != 0) fn(slot.rater, slot.stats);
       }
+    }
+
+    /// RatingMatrix::append_frequent_raters over this row. An empty slot
+    /// (total 0) never passes, as min_total >= 1.
+    void append_frequent(NodeId self, std::uint32_t min_total,
+                         std::vector<NodeId>& out) const {
+      append_if(out, capacity_, [&](std::size_t s) {
+        const Slot& slot = slots_[s];
+        return std::pair{slot.rater, unsigned{slot.stats.total >= min_total} &
+                                         unsigned{slot.rater != self}};
+      });
     }
 
     /// Empties every cell, keeping the allocation for the next window.

@@ -21,6 +21,18 @@ namespace {
 /// granularity, so effective timeouts are accurate to within one tick.
 constexpr int kPollTickMs = 20;
 
+/// Response status of an admission step that stopped for `end`.
+Status submit_status(service::ReputationService::BatchEnd end) {
+  switch (end) {
+    case service::ReputationService::BatchEnd::kConsumed: return Status::kOk;
+    case service::ReputationService::BatchEnd::kBusy:
+      return Status::kRetryLater;
+    case service::ReputationService::BatchEnd::kStopped:
+      return Status::kShuttingDown;
+  }
+  return Status::kInternal;
+}
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -354,8 +366,13 @@ void RpcServer::handle_payload(Connection& c, std::string_view payload) {
         break;
       case MsgType::kSubmitRating: {
         const auto req = SubmitRatingRequest::decode(r);
+        if (!req) {
+          resp.status = Status::kInvalidArgument;
+          break;
+        }
+        const auto a = submit({&req->rating, 1});
         resp.status =
-            req ? submit_one(req->rating) : Status::kInvalidArgument;
+            a.rejected != 0 ? Status::kInvalidArgument : submit_status(a.end);
         break;
       }
       case MsgType::kSubmitBatch:
@@ -391,23 +408,11 @@ void RpcServer::handle_payload(Connection& c, std::string_view payload) {
   responses_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status RpcServer::submit_one(const rating::Rating& r) {
-  if (draining_.load(std::memory_order_acquire)) return Status::kShuttingDown;
-  // Inflight gate first: cheaper than routing, and it bounds the admitted-
-  // but-unapplied backlog across all shards.
-  if (service_->queue_depth() >= config_.max_inflight)
-    return Status::kRetryLater;
-  switch (service_->try_ingest(r)) {
-    case service::ReputationService::IngestResult::kAccepted:
-      return Status::kOk;
-    case service::ReputationService::IngestResult::kInvalid:
-      return Status::kInvalidArgument;
-    case service::ReputationService::IngestResult::kBusy:
-      return Status::kRetryLater;
-    case service::ReputationService::IngestResult::kStopped:
-      return Status::kShuttingDown;
-  }
-  return Status::kInternal;
+service::ReputationService::BatchAdmission RpcServer::submit(
+    std::span<const rating::Rating> ratings) {
+  if (draining_.load(std::memory_order_acquire))
+    return {0, 0, service::ReputationService::BatchEnd::kStopped};
+  return service_->try_ingest_batch(ratings, config_.max_inflight);
 }
 
 void RpcServer::handle_submit_batch(Reader& r, ResponseHeader& resp,
@@ -417,20 +422,14 @@ void RpcServer::handle_submit_batch(Reader& r, ResponseHeader& resp,
     resp.status = Status::kInvalidArgument;
     return;
   }
+  // Invalid ratings are skipped; a shed or shutdown stops the batch, and
+  // accepted + rejected tells the client which suffix to resubmit after
+  // backing off.
+  const auto a = submit(req->ratings);
+  resp.status = submit_status(a.end);
   SubmitBatchResponse out;
-  for (const rating::Rating& rt : req->ratings) {
-    const Status s = submit_one(rt);
-    if (s == Status::kOk) {
-      ++out.accepted;
-    } else if (s == Status::kInvalidArgument) {
-      ++out.rejected;  // skip the bad rating, keep consuming
-    } else {
-      // Shed or shutdown: stop here; accepted+rejected tells the client
-      // which suffix to resubmit after backing off.
-      resp.status = s;
-      break;
-    }
-  }
+  out.accepted = static_cast<std::uint32_t>(a.accepted);
+  out.rejected = static_cast<std::uint32_t>(a.rejected);
   out.encode(body);
 }
 

@@ -18,11 +18,12 @@
 //  * inflight: while the service's total queue depth is at or above
 //              max_inflight, submits are answered kRetryLater without
 //              touching the queues.
-//  * ingest:   a full owner-shard queue (ReputationService::try_ingest ==
-//              kBusy) answers kRetryLater with the backoff hint instead of
-//              blocking. Batches stop at the first shed; the response
-//              reports how much of the batch was consumed so the client
-//              resubmits only the remainder.
+//  * ingest:   a full owner-shard queue answers kRetryLater with the
+//              backoff hint instead of blocking.
+// Both of the latter are one admission step per frame
+// (ReputationService::try_ingest_batch): a batch stops at the first shed,
+// and the response reports how much of it was consumed so the client
+// resubmits only the remainder.
 // Queries and metrics reads are never shed — they only touch immutable
 // published snapshots.
 //
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,7 +152,10 @@ class RpcServer {
   bool flush_writes(Connection& c);
   void close_connection(Connection& c);
 
-  Status submit_one(const rating::Rating& r);
+  /// One admission step for a SubmitBatch frame or a single SubmitRating;
+  /// while the server drains, nothing is consumed (kStopped).
+  service::ReputationService::BatchAdmission submit(
+      std::span<const rating::Rating> ratings);
   void handle_submit_batch(Reader& r, ResponseHeader& resp,
                            std::string& body);
   void handle_query_reputation(Reader& r, ResponseHeader& resp,

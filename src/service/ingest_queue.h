@@ -15,15 +15,24 @@
 //    room, so the queue favours fresh ratings under overload. Elements the
 //    `evictable` predicate rejects (epoch markers) are never discarded.
 //
-// push_forced() bypasses both capacity and policy; the service uses it for
+// push_forced() bypasses both capacity and policy. The service uses it for
 // epoch markers, which must reach every shard exactly once or the epoch
-// barrier would hang.
+// barrier would hang, and for the per-shard runs of a batch admission
+// (ReputationService::try_ingest_batch), each sized against a size()
+// snapshot the batch takes under the service's route_mu_. Batches
+// serialize on that lock, and in global scope so does ingest(), so there
+// a run never overshoots capacity. In per-shard scope ingest() pushes
+// without it and can fill the room a batch counted before the batch's run
+// lands: a queue then holds at most 2 × capacity ratings — capacity plus
+// one run, no longer than the room it was sized against — plus forced
+// markers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <utility>
 
 #include "util/mutex.h"
@@ -86,34 +95,23 @@ class IngestQueue {
     return true;
   }
 
-  /// Outcome of a non-blocking try_push().
-  enum class TryPush { kOk, kFull, kClosed };
-
-  /// Non-blocking push: regardless of policy, a full queue fails with
-  /// kFull instead of waiting (kBlock) or evicting (kDropOldest). The RPC
-  /// front-end sheds on kFull rather than stalling its event loop
-  /// (rpc/server.h overload control).
-  TryPush try_push(T value) {
-    bool wake = false;
-    {
-      util::MutexLock lock(mu_);
-      if (closed_) return TryPush::kClosed;
-      if (items_.size() >= capacity_) return TryPush::kFull;
-      items_.push_back(std::move(value));
-      wake = take_wakeup();
-    }
-    if (wake) not_empty_.notify_one();
-    return TryPush::kOk;
-  }
-
   /// Enqueues regardless of capacity and policy; only fails when closed.
   /// Never blocks and never causes an eviction.
   bool push_forced(T value) {
+    return push_forced(std::make_move_iterator(&value),
+                       std::make_move_iterator(&value + 1));
+  }
+
+  /// Enqueues [first, last) in order under one lock, regardless of
+  /// capacity and policy, and signals a parked consumer at most once.
+  /// Fails, enqueuing nothing, only when closed.
+  template <typename It>
+  bool push_forced(It first, It last) {
     bool wake = false;
     {
       util::MutexLock lock(mu_);
       if (closed_) return false;
-      items_.push_back(std::move(value));
+      items_.insert(items_.end(), first, last);
       wake = take_wakeup();
     }
     if (wake) not_empty_.notify_one();

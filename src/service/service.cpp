@@ -423,45 +423,16 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
 
 // --- Ingest ----------------------------------------------------------------
 
-template <typename Push>
-ReputationService::IngestResult ReputationService::route_rating(
-    const rating::Rating& r, Push push) {
-  if (stopped_.load(std::memory_order_relaxed)) return IngestResult::kStopped;
-  if (r.rater == r.ratee || r.rater >= config_.num_nodes ||
-      r.ratee >= config_.num_nodes) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return IngestResult::kInvalid;
-  }
-  const WalRecord rec = WalRecord::make_rating(r);
-
-  if (config_.epoch_scope == EpochScope::kPerShard) {
-    const auto table = routing_table();
-    const IngestResult res =
-        push(table->slots[table->map->owner(r.ratee)]->queue, rec);
-    if (res != IngestResult::kAccepted) return res;
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    routed_records_.fetch_add(1, std::memory_order_relaxed);
-    return res;
-  }
-
-  // Global scope: the router owns the epoch cadence, so the rating push
-  // and any marker injection must be one atomic routing step; a push that
-  // fails bails out before any cadence state is touched.
-  const util::MutexLock lock(route_mu_);
-  const IngestResult res =
-      push(routing_->slots[routing_->map->owner(r.ratee)]->queue, rec);
-  if (res != IngestResult::kAccepted) return res;
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  routed_records_.fetch_add(1, std::memory_order_relaxed);
+bool ReputationService::cadence_due(const rating::Rating& r) {
   ++routed_since_epoch_;
   if ((config_.epoch_ratings > 0 &&
        routed_since_epoch_ >= config_.epoch_ratings) ||
       (config_.epoch_ticks > 0 &&
        r.time >= global_last_epoch_tick_ + config_.epoch_ticks)) {
-    inject_epoch_markers();
     global_last_epoch_tick_ = r.time;
+    return true;
   }
-  return res;
+  return false;
 }
 
 std::uint64_t ReputationService::inject_epoch_markers() {
@@ -474,32 +445,113 @@ std::uint64_t ReputationService::inject_epoch_markers() {
   return seq;
 }
 
+void ReputationService::count_routed(std::size_t ratings) {
+  accepted_.fetch_add(ratings, std::memory_order_relaxed);
+  routed_records_.fetch_add(ratings, std::memory_order_relaxed);
+}
+
 bool ReputationService::ingest(const rating::Rating& r) {
-  const auto push = [](IngestQueue<WalRecord>& queue, const WalRecord& rec) {
-    return queue.push(rec) ? IngestResult::kAccepted : IngestResult::kStopped;
-  };
-  return route_rating(r, push) == IngestResult::kAccepted;
+  if (stopped_.load(std::memory_order_relaxed)) return false;
+  if (!valid_rating(r)) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  const WalRecord rec = WalRecord::make_rating(r);
+
+  if (config_.epoch_scope == EpochScope::kPerShard) {
+    const auto table = routing_table();
+    if (!table->slots[table->map->owner(r.ratee)]->queue.push(rec))
+      return false;
+    count_routed(1);
+    return true;
+  }
+
+  // Global scope: the router owns the epoch cadence, so the rating push
+  // and any marker injection must be one atomic routing step; a push that
+  // fails bails out before any cadence state is touched.
+  const util::MutexLock lock(route_mu_);
+  if (!routing_->slots[routing_->map->owner(r.ratee)]->queue.push(rec))
+    return false;
+  count_routed(1);
+  if (cadence_due(r)) inject_epoch_markers();
+  return true;
 }
 
-ReputationService::IngestResult ReputationService::try_ingest(
-    const rating::Rating& r) {
-  using TryPush = IngestQueue<WalRecord>::TryPush;
-  const auto push = [](IngestQueue<WalRecord>& queue, const WalRecord& rec) {
-    switch (queue.try_push(rec)) {
-      case TryPush::kClosed: return IngestResult::kStopped;
-      case TryPush::kFull: return IngestResult::kBusy;
-      case TryPush::kOk: break;
+ReputationService::BatchAdmission ReputationService::try_ingest_batch(
+    std::span<const rating::Rating> ratings, std::uint64_t max_inflight) {
+  BatchAdmission out;
+  if (stopped_.load(std::memory_order_relaxed)) {
+    out.end = BatchEnd::kStopped;
+    return out;
+  }
+  // The whole batch is one routing step. In global scope that keeps the
+  // marker injection atomic with routing; in both scopes it keeps other
+  // batches from filling the queues between the snapshot below and the
+  // pushes. (Per-shard ingest() pushes without route_mu_, so it can — the
+  // bound in ingest_queue.h.)
+  const util::MutexLock lock(route_mu_);
+  const auto& slots = routing_->slots;
+  const ShardMap& map = *routing_->map;
+
+  // One snapshot of every queue: the room below capacity (negative once
+  // forced markers overfill a queue) and the inflight budget left; the
+  // batch charges both for every record it queues.
+  std::vector<std::int64_t> room(slots.size());
+  auto budget = static_cast<std::int64_t>(
+      std::min<std::uint64_t>(max_inflight, INT64_MAX));
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const auto depth = static_cast<std::int64_t>(slots[s]->queue.size());
+    room[s] = static_cast<std::int64_t>(slots[s]->queue.capacity()) - depth;
+    budget -= depth;
+  }
+
+  // Each shard's run of the batch, pushed under one queue lock. A closed
+  // queue means stop() raced this batch: that run is not queued.
+  std::vector<std::vector<WalRecord>> runs(slots.size());
+  const auto push_runs = [&] {
+    for (std::size_t s = 0; s < runs.size(); ++s) {
+      if (runs[s].empty()) continue;
+      if (slots[s]->queue.push_forced(runs[s].begin(), runs[s].end())) {
+        count_routed(runs[s].size());
+      } else {
+        out.accepted -= runs[s].size();
+        out.end = BatchEnd::kStopped;
+      }
+      runs[s].clear();
     }
-    return IngestResult::kAccepted;
+    return out.end != BatchEnd::kStopped;
   };
-  return route_rating(r, push);
-}
 
-std::uint64_t ReputationService::queue_depth() const {
-  const auto table = routing_table();
-  std::uint64_t depth = 0;
-  for (const auto& slot : table->slots) depth += slot->queue.size();
-  return depth;
+  for (const rating::Rating& r : ratings) {
+    if (budget <= 0) {
+      out.end = BatchEnd::kBusy;
+      break;
+    }
+    if (!valid_rating(r)) {
+      ++out.rejected;
+      continue;
+    }
+    const std::size_t s = map.owner(r.ratee);
+    if (room[s] <= 0) {
+      out.end = BatchEnd::kBusy;
+      break;
+    }
+    --room[s];
+    --budget;
+    runs[s].push_back(WalRecord::make_rating(r));
+    ++out.accepted;
+    if (config_.epoch_scope == EpochScope::kGlobal && cadence_due(r)) {
+      // Every queue's ratings so far go in ahead of the markers, the
+      // order ingest() produces.
+      if (!push_runs()) break;
+      inject_epoch_markers();
+      for (auto& free : room) --free;
+      budget -= static_cast<std::int64_t>(slots.size());
+    }
+  }
+  push_runs();
+  rejected_.fetch_add(out.rejected, std::memory_order_relaxed);
+  return out;
 }
 
 std::uint64_t ReputationService::force_epoch() {
@@ -744,14 +796,18 @@ void ReputationService::crash_stop() {
 void ReputationService::worker_loop(std::shared_ptr<ShardSlot> slot_ptr) {
   ShardSlot& slot = *slot_ptr;
   // The queue hands over everything it holds at once; the records are
-  // handled in queue order, so batching changes no observable order.
+  // handled in queue order, so batching changes no observable order. The
+  // batch's WAL records reach the file in one write before the batch
+  // counts as handled, so drain() returning means every accepted rating
+  // is in the WAL file.
   std::deque<WalRecord> batch;
   while (slot.queue.pop_batch(batch)) {
     for (const WalRecord& rec : batch) {
       if (crashing_.load(std::memory_order_relaxed)) return;
       handle_record(slot, rec);
-      handled_records_.fetch_add(1, std::memory_order_release);
     }
+    slot.shard.flush_wal();
+    handled_records_.fetch_add(batch.size(), std::memory_order_release);
   }
 }
 
@@ -790,6 +846,7 @@ void ReputationService::handle_record(ShardSlot& slot, const WalRecord& rec) {
     }
   } else if (rec.kind == WalRecordKind::kEpochMarker) {
     slot.shard.log_record(rec);
+    slot.shard.flush_wal();
     if (config_.epoch_scope == EpochScope::kPerShard)
       run_shard_epoch(slot);
     else
@@ -800,6 +857,7 @@ void ReputationService::handle_record(ShardSlot& slot, const WalRecord& rec) {
     // committed resize rotates this WAL, so the marker never survives
     // one.
     slot.shard.log_record(rec);
+    slot.shard.flush_wal();
     resize_fence(rec.epoch_seq);
   }
 }

@@ -40,8 +40,10 @@
 //
 // Durability: when configured with a wal_dir, every shard logs its applied
 // record stream (ratings + epoch markers) to a per-shard WAL before
-// applying it, and periodically compacts the log into a checkpoint (see
-// service/wal.h). Constructing a service over a directory that already
+// applying it — buffered, and written once per drained queue batch before
+// the batch counts as handled, so after drain() every accepted rating is
+// in the WAL file — and periodically compacts the log into a checkpoint
+// (see service/wal.h). Constructing a service over a directory that already
 // holds service state recovers it: the shard count and map epoch are read
 // back from the stored headers (so a resized deployment recovers at its
 // resized width regardless of config.num_shards), checkpoints are loaded,
@@ -55,6 +57,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,23 +130,39 @@ class ReputationService {
   /// caller (backpressure); under kDropOldest it never blocks.
   bool ingest(const rating::Rating& r);
 
-  /// Outcome of a non-blocking try_ingest().
-  enum class IngestResult {
-    kAccepted,  ///< Routed into the owner shard's queue.
-    kInvalid,   ///< Self-rating or id out of range.
-    kBusy,      ///< Owner shard's queue is full — retry later.
+  /// Why try_ingest_batch() stopped consuming its batch.
+  enum class BatchEnd {
+    kConsumed,  ///< Every rating was either queued or rejected.
+    kBusy,      ///< An owner-shard queue or the inflight budget was full.
     kStopped,   ///< Service stopped; no more ratings will be accepted.
   };
 
-  /// Non-blocking ingest for the RPC front-end: a full owner-shard queue
-  /// returns kBusy instead of blocking (kBlock) or evicting (kDropOldest),
-  /// so the caller can shed with a retry hint. Identical routing and epoch
-  /// cadence to ingest() — the two can be mixed freely.
-  IngestResult try_ingest(const rating::Rating& r);
+  /// Outcome of one try_ingest_batch() call: the batch's first
+  /// `accepted + rejected` ratings were consumed — each valid one queued,
+  /// each invalid one (self-rating / id out of range) skipped — and none
+  /// after them, so a caller resubmits exactly the remaining suffix.
+  struct BatchAdmission {
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    BatchEnd end = BatchEnd::kConsumed;
+  };
 
-  /// Current total queue depth across shards (cheap; the RPC server polls
-  /// it as its inflight gauge for admission control).
-  [[nodiscard]] std::uint64_t queue_depth() const;
+  /// Non-blocking batch ingest for the RPC front-end, one call per
+  /// SubmitBatch frame (a single rating is the batch of one). Walks the
+  /// batch in order, skipping and counting invalid ratings, and stops
+  /// (kBusy) at the first rating met while the total queue depth is at or
+  /// above `max_inflight`, or at the first valid rating whose owner queue
+  /// is full — never waiting (kBlock) or evicting (kDropOldest). Depths
+  /// come from one snapshot per call, grown by every record the call
+  /// queues itself; each shard's run is then pushed under one queue lock.
+  /// The whole batch is one routing step under route_mu_; in global scope
+  /// the runs are pushed ahead of the markers at every cadence point, so
+  /// each queue's order and the epoch cadence match ingest() of the same
+  /// stream, and the two can be mixed freely. A stop() racing the push
+  /// phase can leave the queued ratings short of a prefix; the call then
+  /// reports kStopped.
+  BatchAdmission try_ingest_batch(std::span<const rating::Rating> ratings,
+                                  std::uint64_t max_inflight);
 
   /// Blocks until every routed record has been fully processed and no
   /// epoch or resize is in flight. Deterministic quiesce point.
@@ -252,20 +271,25 @@ class ReputationService {
   /// lifecycle paths that must reach retiring / not-yet-applied shards.
   [[nodiscard]] std::vector<std::shared_ptr<ShardSlot>> all_slots() const;
 
-  /// The routing step of ingest()/try_ingest(): validates `r`, hands its
-  /// record to the owner shard's queue through `push` (queue, record) ->
-  /// IngestResult, and — in global scope, atomically with the push —
-  /// injects the next epoch's markers when the cadence says one is due.
-  template <typename Push>
-  IngestResult route_rating(const rating::Rating& r, Push push)
-      P2PREP_EXCLUDES(route_mu_);
+  /// Self-ratings and ids outside [0, num_nodes) are never routed.
+  [[nodiscard]] bool valid_rating(const rating::Rating& r) const noexcept {
+    return r.rater != r.ratee && r.rater < config_.num_nodes &&
+           r.ratee < config_.num_nodes;
+  }
+  /// Global-scope cadence step for one routed rating: counts it toward
+  /// the rating-count trigger and returns whether it makes an epoch due
+  /// (the caller then injects the markers, after the rating's push).
+  bool cadence_due(const rating::Rating& r) P2PREP_REQUIRES(route_mu_);
   /// Pushes the next epoch marker into every routing queue and restarts
   /// the rating-count cadence. Returns the marker's sequence number.
   std::uint64_t inject_epoch_markers() P2PREP_REQUIRES(route_mu_);
+  /// Counts `ratings` pushed ratings as accepted and routed.
+  void count_routed(std::size_t ratings);
 
   void worker_loop(std::shared_ptr<ShardSlot> slot);
   /// One queued record on its shard's worker: log + apply (or defer, or
-  /// forward), epoch marker, or resize fence.
+  /// forward), epoch marker, or resize fence. A queued marker or fence
+  /// flushes the WAL before the worker parks at it or runs the epoch.
   void handle_record(ShardSlot& slot, const WalRecord& rec);
   void run_shard_epoch(ShardSlot& slot);
   void global_barrier(ShardSlot& slot, std::uint64_t seq);
@@ -317,8 +341,9 @@ class ReputationService {
   // epoch_mu_ guards only the barrier, fence and overlap counters and is
   // never held while calling out: the global-epoch body, scan pool sweep
   // included, runs with no service mutex held. Below the service sit the
-  // per-object leaves — IngestQueue::mu_ (under route_mu_: fence/marker
-  // injection pushes while routing), WalWriter::mu_ and ServiceShard::
+  // per-object leaves — IngestQueue::mu_ (under route_mu_: batch
+  // admission and fence/marker injection push while routing),
+  // WalWriter::mu_ and ServiceShard::
   // view_mu_/log_mu_ (under resize_mu_ in a resize commit, otherwise
   // taken alone). Those cannot be named in member annotations here (TSA
   // attribute arguments must be in-scope member expressions), so their

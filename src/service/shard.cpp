@@ -53,8 +53,12 @@ void ServiceShard::attach_wal(WalWriter writer) {
 }
 
 void ServiceShard::log_record(const WalRecord& rec) {
+  if (wal_) wal_->append(rec);
+}
+
+void ServiceShard::flush_wal() {
   if (!wal_) return;
-  wal_->append(rec);
+  wal_->flush();
   wal_records_.store(wal_->records(), std::memory_order_relaxed);
   wal_bytes_.store(wal_->bytes(), std::memory_order_relaxed);
 }
@@ -212,6 +216,9 @@ std::optional<ShardCheckpoint> ServiceShard::make_checkpoint() const {
 }
 
 bool ServiceShard::checkpoint_and_rotate(const std::string& ckpt_path) {
+  // The checkpoint claims wal_records_applied records of this generation;
+  // they must all be in the file before it does.
+  flush_wal();
   const auto ckpt = make_checkpoint();
   if (!ckpt) return false;
   if (!write_checkpoint(ckpt_path, *ckpt)) return false;

@@ -180,14 +180,18 @@ class ServiceShard {
   [[nodiscard]] bool wal_attached() const noexcept {
     return wal_.has_value();
   }
-  /// Appends to the WAL (no-op when detached) and updates WAL metrics.
+  /// Appends to the WAL's write buffer (no-op when detached).
   void log_record(const WalRecord& rec);
+  /// Writes the buffered WAL records to the file and refreshes the WAL
+  /// gauges (no-op when detached).
+  void flush_wal();
 
   /// Builds a checkpoint of the full shard state; nullopt when the engine
   /// cannot serialize itself (checkpointing then stays disabled).
   [[nodiscard]] std::optional<ShardCheckpoint> make_checkpoint() const;
-  /// Atomically writes the checkpoint and rotates the WAL. Returns false
-  /// (leaving the WAL unrotated) when either step fails.
+  /// Flushes the WAL, atomically writes the checkpoint and rotates the
+  /// WAL. Returns false (leaving the WAL unrotated) when the checkpoint
+  /// cannot be made or written.
   bool checkpoint_and_rotate(const std::string& ckpt_path);
   /// Restores state from a checkpoint (fresh shard only), republishes the
   /// engine view and the read snapshot.

@@ -15,24 +15,40 @@ constexpr std::array<char, 8> kWalMagic = {'P', '2', 'P', 'W',
 constexpr std::array<char, 8> kCkptMagic = {'P', '2', 'P', 'C',
                                             'K', 'P', 'T', '2'};
 constexpr std::size_t kFrameBytes = 8;  // u32 len + u32 crc
+constexpr std::size_t kCellBytes = 20;  // 5 * u32 per checkpoint cell
 
 static_assert(kWalHeaderBytes == 8 + 8 + 8 + 4,
               "header = magic + generation + map_epoch + num_shards");
 
 // --- Little-endian encoding into / out of byte strings ---
 
+void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char b[4];
+  store_u32(b, v);
+  out.append(b, sizeof b);
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  out.append(b, sizeof b);
+}
+
+/// Fills the u32 len | u32 crc frame header reserved at `frame` over the
+/// payload that follows it up to the end of `out`.
+void seal_frame(std::string& out, std::size_t frame) {
+  const std::size_t payload = frame + kFrameBytes;
+  const std::size_t len = out.size() - payload;
+  store_u32(out.data() + frame, static_cast<std::uint32_t>(len));
+  store_u32(out.data() + frame + 4, crc32(out.data() + payload, len));
 }
 
 /// Sequential reader over a byte string; get_* return false on underrun.
@@ -68,22 +84,20 @@ struct Cursor {
   [[nodiscard]] bool done() const noexcept { return pos == data.size(); }
 };
 
-std::string encode_payload(const WalRecord& rec) {
-  std::string payload;
-  put_u8(payload, static_cast<std::uint8_t>(rec.kind));
+void encode_payload(std::string& out, const WalRecord& rec) {
+  put_u8(out, static_cast<std::uint8_t>(rec.kind));
   if (rec.kind == WalRecordKind::kRating) {
-    put_u32(payload, rec.rating.rater);
-    put_u32(payload, rec.rating.ratee);
-    put_u8(payload,
+    put_u32(out, rec.rating.rater);
+    put_u32(out, rec.rating.ratee);
+    put_u8(out,
            static_cast<std::uint8_t>(rating::score_value(rec.rating.score) + 1));
-    put_u64(payload, rec.rating.time);
+    put_u64(out, rec.rating.time);
   } else if (rec.kind == WalRecordKind::kShardMapChange) {
-    put_u64(payload, rec.epoch_seq);
-    put_u32(payload, rec.num_shards);
+    put_u64(out, rec.epoch_seq);
+    put_u32(out, rec.num_shards);
   } else if (rec.kind == WalRecordKind::kEpochMarker) {
-    put_u64(payload, rec.epoch_seq);
+    put_u64(out, rec.epoch_seq);
   }
-  return payload;
 }
 
 bool decode_payload(std::string_view payload, WalRecord& rec) {
@@ -112,12 +126,6 @@ bool decode_payload(std::string_view payload, WalRecord& rec) {
   return c.done();
 }
 
-std::string encode_frame(const WalRecord& rec) {
-  std::string frame;
-  append_wal_frame(frame, rec);
-  return frame;
-}
-
 std::string encode_header(std::uint64_t generation, std::uint64_t map_epoch,
                           std::uint32_t num_shards) {
   std::string header;
@@ -136,35 +144,52 @@ void append_wal_header(std::string& out, std::uint64_t generation,
 }
 
 void append_wal_frame(std::string& out, const WalRecord& rec) {
-  const std::string payload = encode_payload(rec);
-  out.reserve(out.size() + kFrameBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out += payload;
+  const std::size_t frame = out.size();
+  out.append(kFrameBytes, '\0');
+  encode_payload(out, rec);
+  seal_frame(out, frame);
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) noexcept {
-  // Table generated on first use (polynomial 0xEDB88320, reflected).
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slice-by-8 tables generated on first use (polynomial 0xEDB88320,
+  // reflected): t[0] is the bytewise table, t[k][b] the CRC of byte b
+  // followed by k zero bytes, so one step folds in eight bytes.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        tab[k][i] = (tab[k - 1][i] >> 8) ^ tab[0][tab[k - 1][i] & 0xFFu];
+    return tab;
   }();
-  const auto* bytes = static_cast<const unsigned char*>(data);
+  const auto* p = static_cast<const unsigned char*>(data);
+  const auto le32 = [](const unsigned char* b) {
+    return static_cast<std::uint32_t>(b[0]) |
+           static_cast<std::uint32_t>(b[1]) << 8 |
+           static_cast<std::uint32_t>(b[2]) << 16 |
+           static_cast<std::uint32_t>(b[3]) << 24;
+  };
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i)
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = le32(p) ^ crc;
+    const std::uint32_t hi = le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
     : path_(std::move(other.path_)),
       out_(std::move(other.out_)),
+      pending_(std::exchange(other.pending_, {})),
       generation_(other.generation_),
       map_epoch_(other.map_epoch_),
       num_shards_(other.num_shards_),
@@ -218,14 +243,27 @@ WalWriter WalWriter::resume(const std::string& path, std::uint64_t generation,
   return w;
 }
 
-void WalWriter::append(const WalRecord& rec) {
-  const std::string frame = encode_frame(rec);
+WalWriter::~WalWriter() {
   util::MutexLock lock(mu_);
-  out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  if (!pending_.empty() && out_.is_open())
+    out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+}
+
+void WalWriter::append(const WalRecord& rec) {
+  util::MutexLock lock(mu_);
+  const std::size_t before = pending_.size();
+  append_wal_frame(pending_, rec);
+  ++records_;
+  bytes_ += pending_.size() - before;
+}
+
+void WalWriter::flush() {
+  util::MutexLock lock(mu_);
+  if (pending_.empty()) return;
+  out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
   out_.flush();
   if (!out_) throw std::runtime_error("wal: write failed on " + path_);
-  ++records_;
-  bytes_ += frame.size();
+  pending_.clear();
 }
 
 void WalWriter::rotate() {
@@ -241,6 +279,7 @@ void WalWriter::rotate(std::uint64_t map_epoch, std::uint32_t num_shards) {
 }
 
 void WalWriter::rotate_locked() {
+  pending_.clear();
   out_.close();
   ++generation_;
   records_ = 0;
@@ -303,34 +342,40 @@ WalReadResult parse_wal(std::string_view content) {
 }
 
 std::string encode_checkpoint(const ShardCheckpoint& ckpt) {
-  std::string payload;
-  put_u64(payload, ckpt.wal_generation);
-  put_u64(payload, ckpt.wal_records_applied);
-  put_u64(payload, ckpt.map_epoch);
-  put_u32(payload, ckpt.map_num_shards);
-  put_u64(payload, ckpt.epochs_completed);
-  put_u64(payload, ckpt.applied_total);
-  put_u64(payload, ckpt.applied_since_epoch);
-  put_u64(payload, ckpt.last_epoch_tick);
-  put_u32(payload, static_cast<std::uint32_t>(ckpt.engine_blob.size()));
-  payload += ckpt.engine_blob;
-  put_u32(payload, static_cast<std::uint32_t>(ckpt.suppressed.size()));
-  for (rating::NodeId id : ckpt.suppressed) put_u32(payload, id);
-  put_u32(payload, static_cast<std::uint32_t>(ckpt.detected.size()));
-  for (rating::NodeId id : ckpt.detected) put_u32(payload, id);
-  put_u64(payload, ckpt.cells.size());
-  for (const CheckpointCell& cell : ckpt.cells) {
-    put_u32(payload, cell.ratee);
-    put_u32(payload, cell.rater);
-    put_u32(payload, cell.stats.total);
-    put_u32(payload, cell.stats.positive);
-    put_u32(payload, cell.stats.negative);
-  }
-
+  // The payload is encoded straight into the file image behind a reserved
+  // frame header, sized up front so a multi-megabyte cell list is written
+  // once and never copied.
+  constexpr std::size_t kFixedBytes = 7 * 8 + 4 + 4 + 4 + 4 + 8;
   std::string blob(kCkptMagic.begin(), kCkptMagic.end());
-  put_u32(blob, static_cast<std::uint32_t>(payload.size()));
-  put_u32(blob, crc32(payload.data(), payload.size()));
-  blob += payload;
+  blob.reserve(kCkptMagic.size() + kFrameBytes + kFixedBytes +
+               ckpt.engine_blob.size() +
+               4 * (ckpt.suppressed.size() + ckpt.detected.size()) +
+               kCellBytes * ckpt.cells.size());
+  const std::size_t frame = blob.size();
+  blob.append(kFrameBytes, '\0');
+  put_u64(blob, ckpt.wal_generation);
+  put_u64(blob, ckpt.wal_records_applied);
+  put_u64(blob, ckpt.map_epoch);
+  put_u32(blob, ckpt.map_num_shards);
+  put_u64(blob, ckpt.epochs_completed);
+  put_u64(blob, ckpt.applied_total);
+  put_u64(blob, ckpt.applied_since_epoch);
+  put_u64(blob, ckpt.last_epoch_tick);
+  put_u32(blob, static_cast<std::uint32_t>(ckpt.engine_blob.size()));
+  blob += ckpt.engine_blob;
+  put_u32(blob, static_cast<std::uint32_t>(ckpt.suppressed.size()));
+  for (rating::NodeId id : ckpt.suppressed) put_u32(blob, id);
+  put_u32(blob, static_cast<std::uint32_t>(ckpt.detected.size()));
+  for (rating::NodeId id : ckpt.detected) put_u32(blob, id);
+  put_u64(blob, ckpt.cells.size());
+  for (const CheckpointCell& cell : ckpt.cells) {
+    put_u32(blob, cell.ratee);
+    put_u32(blob, cell.rater);
+    put_u32(blob, cell.stats.total);
+    put_u32(blob, cell.stats.positive);
+    put_u32(blob, cell.stats.negative);
+  }
+  seal_frame(blob, frame);
   return blob;
 }
 
@@ -408,8 +453,6 @@ std::optional<ShardCheckpoint> parse_checkpoint(std::string_view content) {
   for (auto& id : ckpt.detected)
     if (!c.get_u32(id)) return std::nullopt;
 
-  // 5 * u32 per cell on the wire.
-  constexpr std::uint64_t kCellBytes = 20;
   std::uint64_t cell_count = 0;
   if (!c.get_u64(cell_count) ||
       cell_count > (payload.size() - c.pos) / kCellBytes)

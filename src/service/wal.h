@@ -22,10 +22,14 @@
 //
 // The shard worker appends each record immediately before applying it, so
 // replaying the log reproduces the shard's state transition sequence
-// exactly — including epoch boundaries, which are logged as markers. A
-// torn tail (crash mid-write) fails its CRC or length check; readers keep
-// the valid prefix and report the cut so recovery can truncate before
-// appending again.
+// exactly — including epoch boundaries, which are logged as markers.
+// Appends are buffered in the writer; flush() hands everything buffered to
+// the OS in one write. The worker flushes once per drained queue batch,
+// before it counts those records as handled, and before it parks at an
+// epoch barrier or resize fence; a checkpoint flushes before it reads the
+// record count. A torn tail (crash mid-write) fails its CRC or length
+// check; readers keep the valid prefix and report the cut so recovery can
+// truncate before appending again.
 //
 // Compaction: a checkpoint file captures the shard's full state together
 // with (wal_generation, wal_records_applied); the WAL is then rotated
@@ -127,14 +131,22 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
   WalWriter& operator=(WalWriter&&) = delete;
+  /// Writes what is still buffered (best effort, never throws), as the
+  /// file stream's own destructor would.
+  ~WalWriter();
 
-  /// Appends one record and flushes it to the OS. Single appender; the
-  /// internal mutex only makes the counter getters safe to poll from
-  /// other threads (metrics, tests).
+  /// Encodes one record into the write buffer; it reaches the file at the
+  /// next flush(). Single appender; the internal mutex only makes the
+  /// counter getters safe to poll from other threads (metrics, tests).
   void append(const WalRecord& rec) P2PREP_EXCLUDES(mu_);
 
+  /// Hands every buffered record to the OS in one write (page cache, no
+  /// fsync). Throws std::runtime_error when the write fails.
+  void flush() P2PREP_EXCLUDES(mu_);
+
   /// Truncates the file and starts generation + 1 (post-checkpoint),
-  /// keeping the current shard-map stamp.
+  /// keeping the current shard-map stamp. Records still buffered belong
+  /// to the discarded generation and are dropped with it.
   void rotate() P2PREP_EXCLUDES(mu_);
   /// Rotate variant for the resize commit: the fresh header carries the
   /// new shard map's (map_epoch, num_shards).
@@ -155,12 +167,13 @@ class WalWriter {
     util::MutexLock lock(mu_);
     return num_shards_;
   }
-  /// Records present in the current-generation file.
+  /// Records appended to the current generation (buffered ones included).
   [[nodiscard]] std::uint64_t records() const P2PREP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     return records_;
   }
-  /// Bytes in the current-generation file (header included).
+  /// Bytes of the current generation (header and buffered records
+  /// included) — the file's size after the next flush().
   [[nodiscard]] std::uint64_t bytes() const P2PREP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     return bytes_;
@@ -175,6 +188,7 @@ class WalWriter {
   std::string path_;  ///< Immutable after create()/resume().
   mutable util::Mutex mu_;
   std::ofstream out_ P2PREP_GUARDED_BY(mu_);
+  std::string pending_ P2PREP_GUARDED_BY(mu_);  ///< Appended, not written.
   std::uint64_t generation_ P2PREP_GUARDED_BY(mu_) = 0;
   std::uint64_t map_epoch_ P2PREP_GUARDED_BY(mu_) = 0;
   std::uint32_t num_shards_ P2PREP_GUARDED_BY(mu_) = 1;

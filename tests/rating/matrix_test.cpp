@@ -268,6 +268,38 @@ TEST(RatingMatrixTest, FlatRowVisitsExactlyTheNonEmptyCells) {
       [](const auto& x, const auto& y) { return x.first < y.first; }));
 }
 
+TEST(RatingMatrixTest, AppendFrequentRatersKeepsExactlyTheFrequentCells) {
+  constexpr std::size_t kNodes = 200;
+  constexpr std::uint32_t kMin = 3;
+  for (const MatrixBackend backend :
+       {MatrixBackend::kSparse, MatrixBackend::kDense}) {
+    RatingMatrix m(kNodes, backend);
+    // Row 5: rater k holds k % 5 ratings, plus a frequent self-cell that
+    // must not be kept; row 6: every stored cell is frequent; row 7 stays
+    // empty.
+    for (std::uint32_t r = 0; r < kMin; ++r)
+      m.add_rating(5, 5, Score::kPositive);
+    for (NodeId k = 0; k < kNodes; ++k) {
+      for (NodeId r = 0; r < k % 5; ++r) m.add_rating(5, k, Score::kPositive);
+      if (k % 3 == 0)
+        for (std::uint32_t r = 0; r < kMin; ++r)
+          m.add_rating(6, k, Score::kNegative);
+    }
+    for (const NodeId row : {NodeId{5}, NodeId{6}, NodeId{7}}) {
+      std::vector<NodeId> expected;
+      m.for_each_cell(row, [&](NodeId k, const PairStats& stats) {
+        if (k != row && stats.total >= kMin) expected.push_back(k);
+      });
+      std::vector<NodeId> got{kNodes + 1};  // appended after, kept intact
+      m.append_frequent_raters(row, kMin, got);
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got.front(), kNodes + 1);
+      EXPECT_EQ(std::vector<NodeId>(got.begin() + 1, got.end()), expected)
+          << "row " << row << " backend " << to_string(backend);
+    }
+  }
+}
+
 TEST(RatingMatrixTest, FlatRowTakeRowAndClearWindowThenReAdd) {
   constexpr std::size_t kNodes = 200;
   RatingMatrix m(kNodes, MatrixBackend::kSparse);

@@ -5,6 +5,8 @@
 //  * ratings submitted by 4 concurrent TCP clients land byte-identically
 //    (same shard checkpoint files) to the same stream ingested directly —
 //    the serve path is just a transport, not a semantic fork;
+//  * in global scope, SubmitBatch frames produce the same report log, WAL
+//    and checkpoint bytes as ingest() of the same stream;
 //  * a deliberately saturated service sheds with kRetryLater and clients
 //    recover through the hinted backoff without losing a single rating.
 #include <gtest/gtest.h>
@@ -144,6 +146,70 @@ TEST(RpcConcurrency, MultiClientSubmissionIsByteIdenticalToDirectIngest) {
     EXPECT_EQ(got, ref) << name.str() << " diverged over RPC";
   }
 
+  fs::remove_all(ref_dir);
+  fs::remove_all(rpc_dir);
+}
+
+TEST(RpcConcurrency, GlobalScopeBatchFramesMatchDirectIngestBytewise) {
+  // SubmitBatch frames of 256 against an epoch every 1000 ratings: the
+  // cadence falls inside frames, so every such frame must flush its
+  // per-shard runs ahead of the markers. Small queues make frames
+  // straddle full queues and resume from a shed suffix, too.
+  const auto ratings = workload(6500);
+  const auto config = [](const fs::path& dir) {
+    service::ServiceConfig cfg = durable_config(dir);
+    cfg.queue_capacity = 64;
+    cfg.epoch_ratings = 1000;
+    cfg.checkpoint_every_epochs = 2;
+    cfg.record_reports = true;
+    cfg.detector_config.frequency_min = 5;
+    return cfg;
+  };
+  const fs::path ref_dir = test_dir("ref");
+  const fs::path rpc_dir = test_dir("rpc");
+
+  std::string ref_log;
+  {
+    service::ReputationService svc(config(ref_dir));
+    for (const auto& r : ratings) ASSERT_TRUE(svc.ingest(r));
+    svc.drain();
+    ref_log = svc.report_log();
+    svc.stop();
+  }
+  std::string rpc_log;
+  {
+    service::ReputationService svc(config(rpc_dir));
+    RpcServer server(svc, RpcServerConfig{});
+    RpcClientConfig ccfg;
+    ccfg.port = server.port();
+    ccfg.backoff_initial_ms = 1;
+    ccfg.backoff_max_ms = 5;
+    ccfg.max_attempts = 1000;
+    RpcClient client(ccfg);
+    ASSERT_TRUE(client.connect());
+    const auto outcome = client.submit_batch(ratings, 256);
+    ASSERT_TRUE(outcome.complete) << outcome.error;
+    EXPECT_EQ(outcome.accepted, ratings.size());
+    EXPECT_GT(client.stats().sheds_seen, 0u);  // the first frame overfills
+    server.shutdown();
+    svc.drain();
+    EXPECT_EQ(svc.metrics().epochs_completed, 6u);
+    rpc_log = svc.report_log();
+    svc.stop();
+  }
+
+  EXPECT_FALSE(ref_log.empty());
+  EXPECT_EQ(rpc_log, ref_log);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (const char* ext : {".wal", ".ckpt"}) {
+      std::ostringstream name;
+      name << "shard-00" << s << ext;
+      const std::string ref = read_file(ref_dir / name.str());
+      ASSERT_FALSE(ref.empty()) << name.str() << " missing in reference run";
+      EXPECT_EQ(read_file(rpc_dir / name.str()), ref)
+          << name.str() << " diverged over RPC";
+    }
+  }
   fs::remove_all(ref_dir);
   fs::remove_all(rpc_dir);
 }

@@ -128,25 +128,25 @@ TEST(IngestQueueTest, CloseUnblocksWaitingProducer) {
   EXPECT_TRUE(returned.load());
 }
 
-TEST(IngestQueueTest, TryPushReportsFullAtCapacity) {
+TEST(IngestQueueTest, ForcedRunBypassesCapacityAndPolicy) {
   for (const OverflowPolicy policy :
        {OverflowPolicy::kBlock, OverflowPolicy::kDropOldest}) {
-    using TryPush = IngestQueue<int>::TryPush;
     IngestQueue<int> q(2, policy);
-    EXPECT_EQ(q.try_push(1), TryPush::kOk);
-    EXPECT_EQ(q.try_push(2), TryPush::kOk);
-    // Full: neither waits nor evicts, whatever the policy.
-    EXPECT_EQ(q.try_push(3), TryPush::kFull);
+    const std::vector<int> run{1, 2, 3};
+    // A run lands whole, in order, past capacity: it neither waits nor
+    // evicts, whatever the policy.
+    EXPECT_TRUE(q.push_forced(run.begin(), run.end()));
+    EXPECT_EQ(q.size(), 3u);
     EXPECT_EQ(q.dropped(), 0u);
-    // A batch frees the whole capacity at once.
-    EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.try_push(4), TryPush::kOk);
-    EXPECT_EQ(q.try_push(5), TryPush::kOk);
+    EXPECT_TRUE(q.push_forced(run.begin(), run.begin()));  // empty run
+    EXPECT_EQ(drain_batch(q), (std::vector<int>{1, 2, 3}));
     q.close();
-    EXPECT_EQ(q.try_push(6), TryPush::kClosed);
-    EXPECT_EQ(drain_batch(q), (std::vector<int>{4, 5}));
+    // Closed: nothing of the run is enqueued.
+    EXPECT_FALSE(q.push_forced(run.begin(), run.end()));
+    EXPECT_EQ(q.size(), 0u);
   }
 }
+
 
 // A consumer parked on an empty queue must be woken by close() and by
 // purge_and_close(), and then see the end of the stream.
@@ -225,7 +225,7 @@ TEST(IngestQueueTest, ManyProducersOneConsumer) {
 }
 
 // Batches never reorder one producer's elements: under many concurrent
-// producers (blocking, non-blocking and forced pushes mixed), the
+// producers (blocking, forced and forced-run pushes mixed), the
 // consumer sees each producer's sequence in push order, complete.
 TEST(IngestQueueTest, PerProducerFifoUnderManyProducers) {
   constexpr int kProducers = 8;
@@ -240,9 +240,10 @@ TEST(IngestQueueTest, PerProducerFifoUnderManyProducers) {
         const int value = p * kPerProducer + i;
         if (i % 7 == 0) {
           EXPECT_TRUE(q.push_forced(value));
-        } else if (i % 3 == 0) {
-          while (q.try_push(value) != IngestQueue<int>::TryPush::kOk)
-            std::this_thread::yield();
+        } else if (i % 3 == 0 && i + 1 < kPerProducer) {
+          const int run[] = {value, value + 1};
+          EXPECT_TRUE(q.push_forced(std::begin(run), std::end(run)));
+          ++i;
         } else {
           EXPECT_TRUE(q.push(value));
         }

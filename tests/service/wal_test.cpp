@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 
 namespace p2prep::service {
@@ -146,6 +147,7 @@ TEST_F(WalTest, RotateBumpsGenerationAndEmptiesTheLog) {
   EXPECT_EQ(w.map_epoch(), 5u);
   EXPECT_EQ(w.map_shards(), 2u);
   w.append(WalRecord::make_marker(9));
+  w.flush();  // appends are buffered until flushed
 
   const WalReadResult r = read_wal(p);
   ASSERT_TRUE(r.found);
@@ -196,6 +198,7 @@ TEST_F(WalTest, ResumeTruncatesDiscardedSuffixAndAppends) {
     w.append(WalRecord::make_rating(
         make_rating(1, 2, rating::Score::kPositive, 1)));
     w.append(WalRecord::make_marker(1));  // recovery will discard this
+    w.flush();  // appends are buffered until flushed
     before = read_wal(p);
   }
   ASSERT_EQ(before.records.size(), 2u);
@@ -212,6 +215,52 @@ TEST_F(WalTest, ResumeTruncatesDiscardedSuffixAndAppends) {
   EXPECT_EQ(after.records[0].kind, WalRecordKind::kRating);
   EXPECT_EQ(after.records[1].kind, WalRecordKind::kRating);
   EXPECT_EQ(after.records[1].rating.rater, 5u);
+}
+
+TEST_F(WalTest, AppendsReachTheFileAtFlush) {
+  const std::string p = path("flush.wal");
+  WalWriter w = WalWriter::create(p, 0, 0, 1);
+  w.append(WalRecord::make_rating(
+      make_rating(1, 2, rating::Score::kPositive, 1)));
+  w.append(WalRecord::make_marker(1));
+  // Counted at append, written at flush.
+  EXPECT_EQ(w.records(), 2u);
+  EXPECT_EQ(fs::file_size(p), kWalHeaderBytes);
+  EXPECT_TRUE(read_wal(p).records.empty());
+
+  w.flush();
+  EXPECT_EQ(fs::file_size(p), w.bytes());
+  const WalReadResult r = read_wal(p);
+  ASSERT_EQ(r.records.size(), 2u);
+  EXPECT_FALSE(r.truncated_tail);
+  w.flush();  // nothing buffered: no-op
+  EXPECT_EQ(fs::file_size(p), w.bytes());
+}
+
+/// The textbook bytewise CRC-32 (IEEE, reflected), bit by bit.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(WalCrcTest, KnownAnswersAndBytewiseReference) {
+  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+
+  std::mt19937_64 rng(20121010);
+  unsigned char buf[64 + 7];
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t len = rng() % 65;
+    const std::size_t offset = rng() % 8;  // unaligned starts too
+    for (auto& b : buf) b = static_cast<unsigned char>(rng());
+    EXPECT_EQ(crc32(buf + offset, len), reference_crc32(buf + offset, len))
+        << "len " << len << " offset " << offset;
+  }
 }
 
 TEST_F(WalTest, CheckpointRoundTrip) {
